@@ -53,8 +53,6 @@ from .protocols import (
     BB84,
     ClassificationRow,
     ProtocolFeasibility,
-    check_b92,
-    check_bb84,
     classify_pair,
     effective_phase_diff,
     phase_alphabet,
@@ -84,8 +82,6 @@ __all__ = [
     "bessel_j",
     "bias_phase_from_voltage",
     "cascade",
-    "check_b92",
-    "check_bb84",
     "classify_pair",
     "default_order",
     "effective_phase_diff",

@@ -40,7 +40,7 @@ from .protocols import (
     classify_pair,
     compare_row_with_reference,
 )
-from .verification import MAX_SUPPORTED_INDEX, survey_all
+from .verification import survey_all
 
 SCHEMA_VERSION = "1"
 
@@ -181,16 +181,12 @@ def table_grid(n: int = _TABLE_GRID_N) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
-def cmd_table2(out_path: str | None, perturb: bool = False) -> int:
+def cmd_table2(out_path: str | None) -> int:
     grid = table_grid()
     rows = []
     failures: list[str] = []
     for alice_kind, bob_kind in ROW_ORDER:
         row = classify_pair(alice_kind, bob_kind, grid)
-        if perturb and (alice_kind, bob_kind) == ROW_ORDER[0]:
-            row = dataclasses.replace(
-                row, b92=dataclasses.replace(row.b92, feasible=not row.b92.feasible)
-            )
         rows.append(row)
         failures.extend(compare_row_with_reference(alice_kind, bob_kind, row, grid))
     payload = {
@@ -209,10 +205,6 @@ def cmd_table2(out_path: str | None, perturb: bool = False) -> int:
 
 
 def cmd_verify(max_m: float, out_path: str | None) -> int:
-    if not (0.0 < max_m <= MAX_SUPPORTED_INDEX):
-        raise InvalidParameterError(
-            f"--max-m {max_m} outside the supported regime (0, {MAX_SUPPORTED_INDEX}]"
-        )
     reports = survey_all(max_m)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -310,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table2", help="nine-pairing classification table")
     add_common(p_table, config=False)
-    p_table.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
 
     p_verify = sub.add_parser("verify", help="first-order model vs exact harmonics")
     add_common(p_verify, config=False)
@@ -343,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
             order = args.order if args.order is not None else default_order(cfg.alice, cfg.bob)
             return cmd_spectrum(cfg, args.delta_phi, order, fmt, args.out or cfg.out_path)
         if args.command == "table2":
-            return cmd_table2(args.out, perturb=args.perturb)
+            return cmd_table2(args.out)
         if args.command == "verify":
             return cmd_verify(args.max_m, args.out)
         if args.command == "qkd":

@@ -186,10 +186,6 @@ def parse_config(text: str) -> RunConfig:
         loss = _get_float(link_section, "loss", 1.0)
     else:
         rf_ghz, link_phase, loss = 15.0, 0.0, 1.0
-    if rf_ghz <= 0:
-        raise ConfigError(f"[link] rf_ghz must be > 0, got {rf_ghz}")
-    if not (0.0 < loss <= 1.0):
-        raise ConfigError(f"[link] loss must be in (0, 1], got {loss}")
     link = LinkSpec(rf_frequency=math.tau * rf_ghz * 1e9, link_phase=link_phase, loss=loss)
 
     sweep_start, sweep_stop, sweep_steps = 0.0, math.tau, 64

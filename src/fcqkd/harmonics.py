@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError, TruncationError
 from .link import LinkSpec, interference_coeffs, sideband_powers
-from .modulator import ModulatorSpec
+from .modulator import ModulatorSpec, carrier_amplitude, sideband_factor
 
 # The power series below is well conditioned on this domain, which is all
 # the low-modulation artifact ever needs.
@@ -187,18 +187,15 @@ def exact_tandem_spectrum(
 
 
 def _bessel_carrier(mod: ModulatorSpec) -> complex:
-    e_psi = cmath.exp(1j * mod.psi)
-    return (
-        mod.eps1 * bessel_j(0, mod.m1) * e_psi
-        + mod.eps2 * bessel_j(0, mod.m2) * e_psi.conjugate()
+    return carrier_amplitude(
+        mod.eps1 * bessel_j(0, mod.m1), mod.eps2 * bessel_j(0, mod.m2), mod.psi
     )
 
 
 def _bessel_sideband(mod: ModulatorSpec) -> complex:
-    e_psi = cmath.exp(1j * mod.psi)
-    return 1j * (
-        mod.eps1 * bessel_j(1, mod.m1) * e_psi
-        - mod.eps2 * bessel_j(1, mod.m2) * e_psi.conjugate()
+    # The first-order factor carries m/2, the truncation of J_1(m).
+    return sideband_factor(
+        mod.eps1, mod.eps2, 2.0 * bessel_j(1, mod.m1), 2.0 * bessel_j(1, mod.m2), mod.psi
     )
 
 

@@ -107,6 +107,32 @@ def cascade(alice_prop: ThreeBandField, bob: ThreeBandField) -> ThreeBandField:
     )
 
 
+def _arms(mod: ModulatorSpec) -> tuple[float, float, float, float, float]:
+    """The (eps1, eps2, m1, m2, psi) a modulator's interference terms depend on."""
+    return mod.eps1, mod.eps2, mod.m1, mod.m2, mod.psi
+
+
+def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, bool]:
+    """Interference coefficients and zero flags of two (eps1, eps2, m1, m2, psi) sides.
+
+    A coefficient is treated as an analytic zero when it is below 1e-12 of
+    its a-priori scale |carrier| * |sideband| <= (eps1 + eps2) *
+    (eps1 m1 + eps2 m2) / 2: biases like pi/2 land within one ulp of the
+    exact null, where the value carries no phase information.
+    """
+    a_eps1, a_eps2, a_m1, a_m2, a_psi = alice
+    b_eps1, b_eps2, b_m1, b_m2, b_psi = bob
+    a = carrier_amplitude(b_eps1, b_eps2, b_psi) * sideband_factor(
+        a_eps1, a_eps2, a_m1, a_m2, a_psi
+    )
+    b = carrier_amplitude(a_eps1, a_eps2, a_psi) * sideband_factor(
+        b_eps1, b_eps2, b_m1, b_m2, b_psi
+    )
+    scale_a = (b_eps1 + b_eps2) * 0.5 * (a_eps1 * a_m1 + a_eps2 * a_m2)
+    scale_b = (a_eps1 + a_eps2) * 0.5 * (b_eps1 * b_m1 + b_eps2 * b_m2)
+    return a, b, abs(a) <= 1e-12 * scale_a, abs(b) <= 1e-12 * scale_b
+
+
 def interference_coeffs(
     alice: ModulatorSpec, bob: ModulatorSpec
 ) -> tuple[complex, complex]:
@@ -117,26 +143,8 @@ def interference_coeffs(
     common j/2 of the sideband factor is kept in both, so it cancels in
     visibility and phase offset.
     """
-    alice_coeff = carrier_amplitude(bob) * sideband_factor(alice)
-    bob_coeff = carrier_amplitude(alice) * sideband_factor(bob)
-    return alice_coeff, bob_coeff
-
-
-def _coeff_scales(alice: ModulatorSpec, bob: ModulatorSpec) -> tuple[float, float]:
-    """Upper bounds on |alice_coeff| and |bob_coeff| from the raw parameters."""
-    alice_side = 0.5 * (alice.eps1 * alice.m1 + alice.eps2 * alice.m2)
-    bob_side = 0.5 * (bob.eps1 * bob.m1 + bob.eps2 * bob.m2)
-    return (bob.eps1 + bob.eps2) * alice_side, (alice.eps1 + alice.eps2) * bob_side
-
-
-def _zero_flags(alice: ModulatorSpec, bob: ModulatorSpec, a: complex, b: complex):
-    """Treat a coefficient as an analytic zero when it is rounding-level small.
-
-    Biases like pi/2 land within one ulp of the exact null; below 1e-12 of
-    the coefficient's a-priori scale the value carries no phase information.
-    """
-    scale_a, scale_b = _coeff_scales(alice, bob)
-    return abs(a) <= 1e-12 * scale_a, abs(b) <= 1e-12 * scale_b
+    a, b, _, _ = _coefficients(_arms(alice), _arms(bob))
+    return a, b
 
 
 def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
@@ -160,23 +168,29 @@ def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
     return wrap_to_pi(cmath.phase(bob_coeff) - cmath.phase(alice_coeff))
 
 
-def tandem_result(alice: ModulatorSpec, bob: ModulatorSpec) -> TandemResult:
-    """Evaluate coefficients, visibility and phase offset for a pairing."""
-    a, b = interference_coeffs(alice, bob)
-    a_zero, b_zero = _zero_flags(alice, bob, a, b)
+def _fringe(
+    alice: ModulatorSpec, bob: ModulatorSpec
+) -> tuple[complex, complex, float, float | None]:
+    """Coefficients, visibility and phase offset of a pairing.
+
+    The one place that applies the zero rule to a pairing: both
+    coefficients zero raises :class:`DegenerateConfigurationError`;
+    exactly one zero gives visibility 0 and no phase offset.
+    """
+    a, b, a_zero, b_zero = _coefficients(_arms(alice), _arms(bob))
     if a_zero and b_zero:
         raise DegenerateConfigurationError(
             "no sideband light: both interference coefficients are zero"
         )
-    vis = 0.0 if (a_zero or b_zero) else visibility(a, b)
-    offset = None if (a_zero or b_zero) else phase_offset(a, b)
-    return TandemResult(
-        alice_coeff=a,
-        bob_coeff=b,
-        visibility=vis,
-        phase_offset=offset,
-        norm=abs(a) ** 2 + abs(b) ** 2,
-    )
+    if a_zero or b_zero:
+        return a, b, 0.0, None
+    return a, b, visibility(a, b), phase_offset(a, b)
+
+
+def tandem_result(alice: ModulatorSpec, bob: ModulatorSpec) -> TandemResult:
+    """Evaluate coefficients, visibility and phase offset for a pairing."""
+    a, b, vis, offset = _fringe(alice, bob)
+    return TandemResult(a, b, vis, offset, abs(a) ** 2 + abs(b) ** 2)
 
 
 def sideband_powers(
@@ -188,16 +202,9 @@ def sideband_powers(
     loss cancels.  With exactly one vanishing coefficient the fringe term
     is zero and both powers are 1/2.
     """
-    a, b = interference_coeffs(alice, bob)
-    a_zero, b_zero = _zero_flags(alice, bob, a, b)
-    if a_zero and b_zero:
-        raise DegenerateConfigurationError(
-            "no sideband light: both interference coefficients are zero"
-        )
-    if a_zero or b_zero:
+    _, _, vis, offset = _fringe(alice, bob)
+    if offset is None:
         return 0.5, 0.5
-    vis = visibility(a, b)
-    offset = phase_offset(a, b)
     x = bob.phi - alice.phi + link.link_phase
     p_upper = 0.5 * (1.0 + vis * math.cos(x + offset))
     p_lower = 0.5 * (1.0 + vis * math.cos(x - offset))

@@ -40,6 +40,14 @@ class ModulatorKind(Enum):
     UM = "UM"
 
 
+# Coupling table: kind -> (eps1, eps2, share of the drive index m on arm 2).
+_COUPLING = {
+    ModulatorKind.PM: (1.0, 0.0, 0.0),
+    ModulatorKind.AM: (0.5, 0.5, 1.0),
+    ModulatorKind.UM: (0.5, 0.5, 0.0),
+}
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -118,13 +126,10 @@ def make_modulator(
     m = _require_finite("m", m)
     if m < 0:
         raise InvalidParameterError(f"modulation index must be >= 0, got {m}")
-    if kind is ModulatorKind.PM:
-        return ModulatorSpec(kind, 1.0, 0.0, m, 0.0, psi, phi)
-    if kind is ModulatorKind.AM:
-        return ModulatorSpec(kind, 0.5, 0.5, m, m, psi, phi)
-    if kind is ModulatorKind.UM:
-        return ModulatorSpec(kind, 0.5, 0.5, m, 0.0, psi, phi)
-    raise InvalidParameterError(f"unknown modulator kind {kind!r}")
+    if kind not in _COUPLING:
+        raise InvalidParameterError(f"unknown modulator kind {kind!r}")
+    eps1, eps2, share = _COUPLING[kind]
+    return ModulatorSpec(kind, eps1, eps2, m, share * m, psi, phi)
 
 
 def index_from_voltage(v_rf: float, v_pi: float) -> float:
@@ -151,28 +156,25 @@ def bias_phase_from_voltage(v_dc: float, v_pi: float) -> float:
     return math.pi * v_dc / (2.0 * v_pi)
 
 
-def carrier_amplitude(mod: ModulatorSpec) -> complex:
+def carrier_amplitude(eps1: float, eps2: float, psi: float) -> complex:
     """Carrier transmission eps1*e^{j psi} + eps2*e^{-j psi}."""
-    return mod.eps1 * cmath.exp(1j * mod.psi) + mod.eps2 * cmath.exp(-1j * mod.psi)
+    return eps1 * cmath.exp(1j * psi) + eps2 * cmath.exp(-1j * psi)
 
 
-def sideband_factor(mod: ModulatorSpec) -> complex:
+def sideband_factor(eps1: float, eps2: float, m1: float, m2: float, psi: float) -> complex:
     """Common first-order sideband amplitude (j/2)(eps1 m1 e^{j psi} - eps2 m2 e^{-j psi}).
 
     The RF phase is not included; the upper/lower sidebands carry an extra
     exp(+/-j phi) on top of this factor.
     """
-    return 0.5j * (
-        mod.eps1 * mod.m1 * cmath.exp(1j * mod.psi)
-        - mod.eps2 * mod.m2 * cmath.exp(-1j * mod.psi)
-    )
+    return 0.5j * (eps1 * m1 * cmath.exp(1j * psi) - eps2 * m2 * cmath.exp(-1j * psi))
 
 
 def band_amplitudes(mod: ModulatorSpec) -> ThreeBandField:
     """First-order three-band output field of a single modulator."""
-    s = sideband_factor(mod)
+    s = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, mod.psi)
     return ThreeBandField(
-        carrier=carrier_amplitude(mod),
+        carrier=carrier_amplitude(mod.eps1, mod.eps2, mod.psi),
         lower=s * cmath.exp(-1j * mod.phi),
         upper=s * cmath.exp(1j * mod.phi),
     )

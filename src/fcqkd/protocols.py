@@ -24,17 +24,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import InfeasibleProtocolError
-from .link import interference_coeffs, phase_offset, wrap_to_pi
-from .modulator import ModulatorKind, ModulatorSpec, make_modulator
+from .errors import InfeasibleProtocolError, InvalidParameterError
+from .link import _coefficients, phase_offset, wrap_to_pi
+from .modulator import _COUPLING, ModulatorKind, ModulatorSpec, _require_finite
 
 B92 = "B92"
 BB84 = "BB84"
 
 THETA_TOL = 1e-9
-# An interference coefficient below this (for unit drive indices, couplings
-# of order one) counts as an exact analytic zero.
-ZERO_COEFF = 1e-12
 
 CANONICAL_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
@@ -85,50 +82,44 @@ class ClassificationRow:
     bb84: ProtocolFeasibility
 
 
-def _unit_spec(spec: ModulatorSpec) -> ModulatorSpec:
-    """Template with unit drive index, keeping kind and biases."""
-    return make_modulator(spec.kind, 1.0, spec.psi, spec.phi)
+def _required_shift(protocol: str) -> float:
+    """Phase-offset class (mod pi) the protocol needs; rejects unknown names."""
+    if protocol == B92:
+        return 0.0
+    if protocol == BB84:
+        return 0.5 * math.pi
+    raise InvalidParameterError(f"unknown protocol {protocol!r}, expected B92 or BB84")
 
 
-def _theta_distance(offset: float, protocol: str) -> float:
-    """Distance of the offset from the protocol's required phase class."""
-    target_shift = 0.0 if protocol == B92 else 0.5 * math.pi
-    return abs(math.remainder(offset - target_shift, math.pi))
+def _theta_distance(offset: float, shift: float) -> float:
+    """Distance of the offset from the phase class ``shift`` mod pi."""
+    return abs(math.remainder(offset - shift, math.pi))
 
 
-def unit_coefficients(alice: ModulatorSpec, bob: ModulatorSpec) -> tuple[complex, complex]:
-    """Interference coefficients for unit drive indices on both sides."""
-    return interference_coeffs(_unit_spec(alice), _unit_spec(bob))
+def _unit_coeffs(alice_kind, bob_kind, psi_a, psi_b):
+    """Coefficients and zero flags at unit drive index, from the coupling table."""
+    a_eps1, a_eps2, a_share = _COUPLING[alice_kind]
+    b_eps1, b_eps2, b_share = _COUPLING[bob_kind]
+    return _coefficients(
+        (a_eps1, a_eps2, 1.0, a_share, psi_a), (b_eps1, b_eps2, 1.0, b_share, psi_b)
+    )
 
 
-def _check(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> ProtocolFeasibility:
-    a, b = unit_coefficients(alice, bob)
-    if abs(a) <= ZERO_COEFF or abs(b) <= ZERO_COEFF:
+def _verdict(coeffs, protocol: str, tol: float = THETA_TOL) -> ProtocolFeasibility:
+    shift = _required_shift(protocol)
+    a, b, a_zero, b_zero = coeffs
+    if a_zero or b_zero:
         return ProtocolFeasibility(protocol, False, "as-configured", None, "zero-visibility")
-    offset = phase_offset(a, b)
-    if _theta_distance(offset, protocol) > THETA_TOL:
+    if _theta_distance(phase_offset(a, b), shift) > tol:
         return ProtocolFeasibility(protocol, False, "as-configured", None, "theta-mismatch")
     return ProtocolFeasibility(protocol, True, "as-configured", abs(b) / abs(a), "none")
-
-
-def check_b92(alice: ModulatorSpec, bob: ModulatorSpec) -> ProtocolFeasibility:
-    """B92 verdict at the given biases; the drive indices are free."""
-    return _check(alice, bob, B92)
-
-
-def check_bb84(alice: ModulatorSpec, bob: ModulatorSpec) -> ProtocolFeasibility:
-    """BB84 verdict at the given biases; the drive indices are free."""
-    return _check(alice, bob, BB84)
 
 
 def check_protocol(
     alice: ModulatorSpec, bob: ModulatorSpec, protocol: str
 ) -> ProtocolFeasibility:
-    if protocol == B92:
-        return check_b92(alice, bob)
-    if protocol == BB84:
-        return check_bb84(alice, bob)
-    raise InfeasibleProtocolError("theta-mismatch", f"unknown protocol {protocol!r}")
+    """Verdict for ``protocol`` at the given biases; the drive indices are free."""
+    return _verdict(_unit_coeffs(alice.kind, bob.kind, alice.psi, bob.psi), protocol)
 
 
 # --- bias-constraint families --------------------------------------------
@@ -157,15 +148,10 @@ _ZERO_VIS_FAMILIES = (
 )
 
 
-def _specs_at(alice_kind, bob_kind, psi_a, psi_b):
-    return make_modulator(alice_kind, 1.0, psi_a), make_modulator(bob_kind, 1.0, psi_b)
-
-
 def _feasibility_on(alice_kind, bob_kind, protocol, points):
-    verdicts = [
-        _check(*_specs_at(alice_kind, bob_kind, pa, pb), protocol) for pa, pb in points
+    return [
+        _verdict(_unit_coeffs(alice_kind, bob_kind, pa, pb), protocol) for pa, pb in points
     ]
-    return verdicts
 
 
 def _classify_protocol(
@@ -196,14 +182,10 @@ def _classify_protocol(
             continue
         # Just off the locus the offset must approach the required class.
         near = [(pa + 1e-6, pb + 1e-6) for pa, pb in on_locus]
-        approaches = []
-        for pa, pb in near:
-            a, b = unit_coefficients(*_specs_at(alice_kind, bob_kind, pa, pb))
-            if abs(a) <= ZERO_COEFF or abs(b) <= ZERO_COEFF:
-                approaches.append(False)
-                continue
-            approaches.append(_theta_distance(phase_offset(a, b), protocol) < 1e-3)
-        if all(approaches):
+        if all(
+            _verdict(_unit_coeffs(alice_kind, bob_kind, pa, pb), protocol, tol=1e-3).feasible
+            for pa, pb in near
+        ):
             return ProtocolFeasibility(
                 protocol, False, family.label, None, "zero-visibility"
             )
@@ -225,13 +207,15 @@ def classify_pair(
     """
     if not psi_grid:
         raise ValueError("psi_grid must be non-empty")
+    for psi in psi_grid:
+        _require_finite("psi", psi)
     b92 = _classify_protocol(alice_kind, bob_kind, B92, psi_grid)
     bb84 = _classify_protocol(alice_kind, bob_kind, BB84, psi_grid)
 
     ref_bias = (psi_grid[len(psi_grid) // 3], psi_grid[(2 * len(psi_grid)) // 3])
-    a, b = unit_coefficients(*_specs_at(alice_kind, bob_kind, *ref_bias))
-    theta_ref = phase_offset(a, b) if min(abs(a), abs(b)) > ZERO_COEFF else math.nan
-    ratio_ref = abs(b) / abs(a) if abs(a) > ZERO_COEFF else math.inf
+    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, *ref_bias)
+    theta_ref = math.nan if (a_zero or b_zero) else phase_offset(a, b)
+    ratio_ref = math.inf if a_zero else abs(b) / abs(a)
 
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     return ClassificationRow(
@@ -263,7 +247,7 @@ def phase_alphabet(
     combinations of the canonical phases are returned with their intended
     fringe argument; together they cover {0, pi/2, pi, 3*pi/2}.
     """
-    if _theta_distance(offset, protocol) > THETA_TOL:
+    if _theta_distance(offset, _required_shift(protocol)) > THETA_TOL:
         raise InfeasibleProtocolError(
             "theta-mismatch",
             f"phase offset {offset!r} incompatible with {protocol}",
@@ -414,7 +398,9 @@ def evaluate_pair(
     alice_kind: ModulatorKind, bob_kind: ModulatorKind, psi_a: float, psi_b: float
 ) -> tuple[float, float]:
     """Numeric (phase offset, unit-visibility index ratio) at given biases."""
-    a, b = unit_coefficients(*_specs_at(alice_kind, bob_kind, psi_a, psi_b))
+    _require_finite("psi_a", psi_a)
+    _require_finite("psi_b", psi_b)
+    a, b, _, _ = _unit_coeffs(alice_kind, bob_kind, psi_a, psi_b)
     return phase_offset(a, b), abs(b) / abs(a)
 
 
@@ -474,12 +460,7 @@ def compare_row_with_reference(
 def _constrained_point(constraint: str, t: float) -> tuple[float, float]:
     if constraint == "any":
         return t, t * 0.8 + 0.1
-    if constraint == "psi_a = n*pi":
-        return 0.0, t
-    if constraint == "psi_b = n*pi":
-        return t, 0.0
-    if constraint == "psi_b = psi_a + n*pi":
-        return t, t
-    if constraint == "psi_b = psi_a + (2n+1)*pi/2":
-        return t, t + 0.5 * math.pi
+    for family in _FEASIBLE_FAMILIES:
+        if family.label == constraint:
+            return family.points(t, 0)
     raise ValueError(f"no sample point rule for constraint {constraint!r}")

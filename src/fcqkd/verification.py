@@ -19,16 +19,14 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError
 from .harmonics import small_signal_error
 from .link import LinkSpec, sideband_powers
-from .modulator import ModulatorKind, make_modulator
-
-MAX_SUPPORTED_INDEX = 0.2
+from .modulator import LOW_MODULATION_LIMIT, ModulatorKind, make_modulator
 
 _KINDS = (ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM)
 KIND_PAIRS = tuple((a, b) for a in _KINDS for b in _KINDS)
 
-# Generic biases (used where the kind has a bias) and drive-phase
-# candidates; the lattice keeps the first phase pairs whose sideband
-# powers both clear the floor.
+# Generic biases (a PM gets one too; as a pure global phase it drops out)
+# and drive-phase candidates; the lattice keeps the first phase pairs
+# whose sideband powers both clear the floor.
 _PSI_A = math.pi / 5
 _PSI_B = math.pi / 7
 _LINK_PHASE = 0.33
@@ -72,21 +70,13 @@ class PairReport:
         return self.worst_error <= self.bound
 
 
-def _bias_for(kind: ModulatorKind, value: float) -> float:
-    # PM has no interferometric bias; keep a nonzero value anyway to show
-    # it drops out.
-    return value
-
-
 def lattice_points(alice_kind: ModulatorKind, bob_kind: ModulatorKind, m: float):
     """Operating points for one pairing with both sideband powers >= floor."""
-    alice_psi = _bias_for(alice_kind, _PSI_A)
-    bob_psi = _bias_for(bob_kind, _PSI_B)
+    link = LinkSpec(rf_frequency=1.0, link_phase=_LINK_PHASE)
     kept = []
     for phi_a, phi_b in _PHASE_CANDIDATES:
-        alice = make_modulator(alice_kind, m, alice_psi, phi_a)
-        bob = make_modulator(bob_kind, m, bob_psi, phi_b)
-        link = LinkSpec(rf_frequency=1.0, link_phase=_LINK_PHASE)
+        alice = make_modulator(alice_kind, m, _PSI_A, phi_a)
+        bob = make_modulator(bob_kind, m, _PSI_B, phi_b)
         p_up, p_low = sideband_powers(alice, bob, link)
         if min(p_up, p_low) >= _POWER_FLOOR:
             kept.append((alice, bob, link))
@@ -122,9 +112,9 @@ def survey_pair(
 
 def survey_all(max_m: float) -> list[PairReport]:
     """Worst first-order error per pairing at drive index ``max_m``."""
-    if not (0.0 < max_m <= MAX_SUPPORTED_INDEX):
+    if not (0.0 < max_m <= LOW_MODULATION_LIMIT):
         raise InvalidParameterError(
             f"drive index {max_m} outside the supported regime "
-            f"(0, {MAX_SUPPORTED_INDEX}]"
+            f"(0, {LOW_MODULATION_LIMIT}]"
         )
     return [survey_pair(a, b, max_m) for a, b in KIND_PAIRS]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from fcqkd import (
+    B92,
     BB84,
     LinkSpec,
     ModulatorKind,
@@ -25,7 +26,7 @@ from fcqkd import (
 )
 from fcqkd.cli import main, table_grid
 from fcqkd.montecarlo import offset_seed
-from fcqkd.protocols import ROW_ORDER, check_b92, check_bb84, classify_pair, compare_row_with_reference
+from fcqkd.protocols import ROW_ORDER, check_protocol, classify_pair, compare_row_with_reference
 from fcqkd.verification import FROZEN_WORST, survey_all
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
@@ -68,13 +69,13 @@ def test_criterion_1_classification_table_regeneration(capsys):
     # zero-visibility exclusions at the quarter-wave bias loci
     for n in (-1, 0, 1):
         psi = (2 * n + 1) * math.pi / 2
-        assert check_bb84(make_modulator(UM, 0.1, psi), make_modulator(PM, 0.1)) \
+        assert check_protocol(make_modulator(UM, 0.1, psi), make_modulator(PM, 0.1), BB84) \
             .failure_reason == "zero-visibility"
-        assert check_bb84(make_modulator(PM, 0.1), make_modulator(UM, 0.1, psi)) \
+        assert check_protocol(make_modulator(PM, 0.1), make_modulator(UM, 0.1, psi), BB84) \
             .failure_reason == "zero-visibility"
-        assert check_b92(make_modulator(UM, 0.1, psi), make_modulator(AM, 0.1, 0.6)) \
+        assert check_protocol(make_modulator(UM, 0.1, psi), make_modulator(AM, 0.1, 0.6), B92) \
             .failure_reason == "zero-visibility"
-        assert check_b92(make_modulator(AM, 0.1, 0.6), make_modulator(UM, 0.1, psi)) \
+        assert check_protocol(make_modulator(AM, 0.1, 0.6), make_modulator(UM, 0.1, psi), B92) \
             .failure_reason == "zero-visibility"
 
     assert main(["table2"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from fcqkd.cli import main
 from fcqkd.config import ConfigError, default_config, parse_config
 from fcqkd.modulator import ModulatorKind
+from fcqkd.protocols import REFERENCE_TABLE
 
 BB84_CONFIG = """\
 [alice]
@@ -165,8 +167,12 @@ class TestTable2Command:
         assert um_um["alice"] == "UM" and um_um["bob"] == "UM"
         assert um_um["b92"]["feasible"] and um_um["bb84"]["feasible"]
 
-    def test_perturbed_reference_detected(self, capsys):
-        assert main(["table2", "--perturb"]) == 1
+    def test_perturbed_reference_detected(self, capsys, monkeypatch):
+        key = (ModulatorKind.UM, ModulatorKind.UM)
+        ref = REFERENCE_TABLE[key]
+        flipped = dataclasses.replace(ref.b92, feasible=not ref.b92.feasible)
+        monkeypatch.setitem(REFERENCE_TABLE, key, dataclasses.replace(ref, b92=flipped))
+        assert main(["table2"]) == 1
         captured = capsys.readouterr()
         payload = json.loads(captured.out)
         assert payload["reference_check"]["pass"] is False

@@ -6,10 +6,10 @@ from fcqkd import (
     B92,
     BB84,
     InfeasibleProtocolError,
+    InvalidParameterError,
     LinkSpec,
     ModulatorKind,
-    check_b92,
-    check_bb84,
+    ModulatorSpec,
     classify_pair,
     effective_phase_diff,
     make_modulator,
@@ -19,6 +19,7 @@ from fcqkd import (
 from fcqkd.protocols import (
     REFERENCE_TABLE,
     ROW_ORDER,
+    check_protocol,
     compare_row_with_reference,
     evaluate_pair,
 )
@@ -37,42 +38,48 @@ def test_effective_phase_diff():
 
 class TestPointChecks:
     def test_pm_pm_b92(self):
-        res = check_b92(make_modulator(PM, 0.1), make_modulator(PM, 0.1))
+        res = check_protocol(make_modulator(PM, 0.1), make_modulator(PM, 0.1), B92)
         assert res.feasible
         assert res.index_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_um_pm_b92_ratio_two(self):
-        res = check_b92(make_modulator(UM, 0.1, 0.0), make_modulator(PM, 0.1))
+        res = check_protocol(make_modulator(UM, 0.1, 0.0), make_modulator(PM, 0.1), B92)
         assert res.feasible
         assert res.index_ratio == pytest.approx(2.0, rel=1e-12)
 
     def test_um_am_b92_zero_visibility(self):
         for psi_b in (0.3, 0.7, 1.2):
-            res = check_b92(
-                make_modulator(UM, 0.1, math.pi / 2), make_modulator(AM, 0.1, psi_b)
+            res = check_protocol(
+                make_modulator(UM, 0.1, math.pi / 2), make_modulator(AM, 0.1, psi_b), B92
             )
             assert not res.feasible
             assert res.failure_reason == "zero-visibility"
 
     def test_pm_am_bb84_tan_ratio(self):
         for psi_b in (0.3, 0.9, 1.4):
-            res = check_bb84(make_modulator(PM, 0.1), make_modulator(AM, 0.1, psi_b))
+            res = check_protocol(
+                make_modulator(PM, 0.1), make_modulator(AM, 0.1, psi_b), BB84
+            )
             assert res.feasible
             assert res.index_ratio == pytest.approx(abs(math.tan(psi_b)), rel=1e-12)
 
     def test_am_am_bb84_theta_mismatch(self):
-        res = check_bb84(
-            make_modulator(AM, 0.1, 0.4), make_modulator(AM, 0.1, 0.9)
+        res = check_protocol(
+            make_modulator(AM, 0.1, 0.4), make_modulator(AM, 0.1, 0.9), BB84
         )
         assert not res.feasible
         assert res.failure_reason == "theta-mismatch"
 
     def test_um_am_bb84_ratio(self):
-        res = check_bb84(
-            make_modulator(UM, 0.1, 0.0), make_modulator(AM, 0.1, math.pi / 4)
+        res = check_protocol(
+            make_modulator(UM, 0.1, 0.0), make_modulator(AM, 0.1, math.pi / 4), BB84
         )
         assert res.feasible
         assert res.index_ratio == pytest.approx(2.0, rel=1e-12)
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(InvalidParameterError, match="E91"):
+            check_protocol(make_modulator(PM, 0.1), make_modulator(PM, 0.1), "E91")
 
 
 class TestClassification:
@@ -126,6 +133,32 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_pair(UM, UM, [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bias_rejected(self, bad):
+        # a NaN coefficient would compare as "no deviation" and pass silently
+        grid = GRID[:3] + [bad]
+        row = classify_pair(UM, AM, GRID)
+        with pytest.raises(InvalidParameterError):
+            classify_pair(UM, AM, grid)
+        with pytest.raises(InvalidParameterError):
+            evaluate_pair(UM, AM, 0.3, bad)
+        with pytest.raises(InvalidParameterError):
+            compare_row_with_reference(UM, AM, row, grid)
+
+    def test_builds_no_modulator_specs(self, monkeypatch):
+        built = []
+        original = ModulatorSpec.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(ModulatorSpec, "__post_init__", counting)
+        for a, b in ROW_ORDER:
+            row = classify_pair(a, b, GRID)
+            assert compare_row_with_reference(a, b, row, GRID) == []
+        assert built == []
+
 
 class TestFringeLaws:
     def test_bb84_fringes(self):
@@ -166,6 +199,10 @@ class TestPhaseAlphabet:
         for s in phase_alphabet(BB84, link_phase, offset):
             assert effective_phase_diff(s.phi_a, s.phi_b, link_phase, offset) == \
                 pytest.approx(s.delta_phi, abs=1e-12)
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(InvalidParameterError, match="E91"):
+            phase_alphabet("E91", 0.0, math.pi / 2)
 
     def test_mismatched_offset_rejected(self):
         with pytest.raises(InfeasibleProtocolError):
