@@ -47,7 +47,13 @@ from .modulator import (
     index_from_voltage,
     make_modulator,
 )
-from .montecarlo import SessionConfig, SessionStats, qber_vs_offset, run_session
+from .montecarlo import (
+    SessionConfig,
+    SessionStats,
+    expected_counts,
+    qber_vs_offset,
+    run_session,
+)
 from .protocols import (
     B92,
     BB84,
@@ -87,6 +93,7 @@ __all__ = [
     "effective_phase_diff",
     "exact_modulator_spectrum",
     "exact_tandem_spectrum",
+    "expected_counts",
     "index_from_voltage",
     "interference_coeffs",
     "make_modulator",

@@ -112,8 +112,13 @@ def _get_float(section, key, default=None) -> float:
 
 
 def _get_int(section, key, default=None) -> int:
+    if key in section:
+        try:
+            return int(section[key])  # exact beyond 2**53, where floats round
+        except ValueError:
+            pass
     value = _get_float(section, key, default)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"[{section.name}] {key} must be an integer")
     return int(value)
 

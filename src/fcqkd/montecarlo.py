@@ -25,27 +25,42 @@ B92
     bit 0 (the opposite choice sits on the fringe null and cannot click
     without dark counts).  Clicked pulses are the sifted key.
 
-Sessions are bit-reproducible for a given seed: draws use a single
-numpy PCG64 generator seeded from the config, in the fixed order bits,
-bases, upper-counter uniforms, lower-counter uniforms.
+A session's statistics depend only on how many pulses fall into each
+(Alice phase, Bob phase, click outcome) cell, where the outcome is one
+of none, upper only, lower only or both.  Every alphabet cell is equally
+likely and the two counters click independently, so each pulse lands in
+a cell with a fixed probability and the cell counts follow one
+multinomial law.  A session is a single ``multinomial(n_pulses, p)``
+draw from a numpy PCG64 generator seeded from the config: exactly the
+distribution of pulse-by-pulse sampling, in time and memory independent
+of ``n_pulses``, and bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InfeasibleProtocolError, InvalidParameterError
 from .link import LinkSpec, interference_coeffs, phase_offset, sideband_powers
 from .modulator import ModulatorSpec
-from .protocols import B92, BB84, check_protocol
+from .protocols import B92, BB84, CANONICAL_PHASES, check_protocol
 
-_BB84_ALICE_PHASES = ((0.0, math.pi), (0.5 * math.pi, 1.5 * math.pi))  # [basis][bit]
-_BB84_BOB_PHASES = (0.0, 0.5 * math.pi)  # [basis]
-_B92_ALICE_PHASES = (0.0, 0.5 * math.pi)  # [bit]
-_B92_BOB_PHASES = (math.pi, 1.5 * math.pi)  # [choice]; click => bit 1, bit 0
+# Largest session numpy's multinomial draw can count (int64).
+MAX_PULSES = 2**63 - 1
+
+# Indices into CANONICAL_PHASES.  BB84: Alice's row k encodes basis k % 2
+# and bit k // 2, Bob's column is his basis.  B92: Alice's row is her bit,
+# Bob's column c (canonical pi or 3*pi/2) decodes a click as bit 1 - c.
+_ALPHABETS = {BB84: ((0, 1, 2, 3), (0, 1)), B92: ((0, 1), (2, 3))}
+_BB84_MATCHED = np.arange(4)[:, None] % 2 == np.arange(2)  # Alice basis == Bob basis
+
+# Click outcomes of one pulse along the last axis of the cell table; 0 is
+# no click.
+_UPPER, _LOWER, _BOTH = 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -63,14 +78,18 @@ class SessionConfig:
     def __post_init__(self):
         if self.protocol not in (B92, BB84):
             raise InvalidParameterError(f"unknown protocol {self.protocol!r}")
-        if self.mu < 0:
-            raise InvalidParameterError("mu must be >= 0")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise InvalidParameterError(f"mu must be finite and >= 0, got {self.mu}")
         if not (0.0 <= self.eta <= 1.0):
             raise InvalidParameterError("eta must lie in [0, 1]")
         if not (0.0 <= self.p_dark < 1.0):
             raise InvalidParameterError("p_dark must lie in [0, 1)")
-        if self.n_pulses <= 0:
-            raise InvalidParameterError("n_pulses must be > 0")
+        if not (isinstance(self.n_pulses, Integral) and 0 < self.n_pulses <= MAX_PULSES):
+            raise InvalidParameterError(
+                f"n_pulses must be an integer in [1, {MAX_PULSES}], got {self.n_pulses}"
+            )
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +103,8 @@ class SessionStats:
     lower_clicks: int
 
 
-def _counter_powers(cfg: SessionConfig, phase_error: float):
-    """Per-combination (upper, lower) powers for the protocol alphabet.
+def _counter_powers(cfg: SessionConfig, phase_error: float) -> np.ndarray:
+    """(upper, lower) powers of every alphabet cell, shape (2, rows, columns).
 
     Bob's compensation uses the configured link phase and the pairing's
     intrinsic offset; ``phase_error`` shifts the physical span phase
@@ -94,26 +113,19 @@ def _counter_powers(cfg: SessionConfig, phase_error: float):
     offset = phase_offset(*interference_coeffs(cfg.alice, cfg.bob))
     compensation = cfg.link.link_phase + offset
     link_actual = replace(cfg.link, link_phase=cfg.link.link_phase + phase_error)
-
-    if cfg.protocol == BB84:
-        alice_phases = [p for pair in _BB84_ALICE_PHASES for p in pair]
-        bob_phases = _BB84_BOB_PHASES
-    else:
-        alice_phases = list(_B92_ALICE_PHASES)
-        bob_phases = _B92_BOB_PHASES
-
-    upper = np.empty((len(alice_phases), len(bob_phases)))
-    lower = np.empty_like(upper)
-    for i, phi_a in enumerate(alice_phases):
-        for j, phi_b in enumerate(bob_phases):
-            alice = replace(cfg.alice, phi=phi_a)
-            bob = replace(cfg.bob, phi=phi_b - compensation)
-            upper[i, j], lower[i, j] = sideband_powers(alice, bob, link_actual)
-    return upper, lower
+    alice_phases, bob_phases = _ALPHABETS[cfg.protocol]
+    alices = [replace(cfg.alice, phi=CANONICAL_PHASES[a]) for a in alice_phases]
+    bobs = [replace(cfg.bob, phi=CANONICAL_PHASES[b] - compensation) for b in bob_phases]
+    powers = [[sideband_powers(alice, bob, link_actual) for bob in bobs] for alice in alices]
+    return np.moveaxis(np.array(powers), -1, 0)
 
 
-def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
-    """Simulate one key-exchange session; deterministic for a given seed."""
+def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> np.ndarray:
+    """Probability that one pulse lands in each (Alice, Bob, outcome) cell.
+
+    Shape (rows, columns, 4), summing to 1; raises
+    :class:`InfeasibleProtocolError` if the pairing cannot run the protocol.
+    """
     feasibility = check_protocol(cfg.alice, cfg.bob, cfg.protocol)
     if not feasibility.feasible:
         raise InfeasibleProtocolError(
@@ -121,49 +133,64 @@ def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
             f"{cfg.protocol} not supported by this pairing: "
             f"{feasibility.failure_reason}",
         )
+    powers = _counter_powers(cfg, phase_error)
+    # Rounding can leave a fringe null a hair below zero; no light is no light.
+    quiet_up, quiet_low = (1.0 - cfg.p_dark) * np.exp(
+        -cfg.eta * cfg.mu * np.maximum(powers, 0.0)
+    )
+    click_up, click_low = 1.0 - quiet_up, 1.0 - quiet_low
+    cells = np.stack(
+        (quiet_up * quiet_low, click_up * quiet_low, quiet_up * click_low, click_up * click_low),
+        axis=-1,
+    )
+    return cells / quiet_up.size
 
-    upper_p, lower_p = _counter_powers(cfg, phase_error)
-    n = cfg.n_pulses
-    rng = np.random.default_rng(cfg.seed)
-    bits = rng.integers(0, 2, n)
 
-    if cfg.protocol == BB84:
-        alice_basis = rng.integers(0, 2, n)
-        bob_basis = rng.integers(0, 2, n)
-        row = 2 * alice_basis + bits  # index into the flattened alice alphabet
-        col = bob_basis
-    else:
-        bob_choice = rng.integers(0, 2, n)
-        row = bits
-        col = bob_choice
+def _tally(protocol: str, cells: np.ndarray):
+    """(conclusive, sifted, errors, upper clicks, lower clicks) of a cell table.
 
-    p_up = upper_p[row, col]
-    p_low = lower_p[row, col]
-    survive = (1.0 - cfg.p_dark) * np.exp(-cfg.eta * cfg.mu * np.stack((p_up, p_low)))
-    clicks = rng.random((2, n)) < 1.0 - survive
-    up_click, low_click = clicks[0], clicks[1]
+    Linear in ``cells``: drawn counts give a session's statistics, expected
+    counts give their expectations.
+    """
+    upper_only, lower_only = cells[..., _UPPER], cells[..., _LOWER]
+    upper = (upper_only + cells[..., _BOTH]).sum()
+    lower = (lower_only + cells[..., _BOTH]).sum()
+    if protocol == BB84:
+        single = upper_only + lower_only
+        # upper-only decodes as 0, lower-only as 1; rows 0-1 carry bit 0
+        wrong = np.concatenate((lower_only[:2], upper_only[2:]))
+        sifted, errors = single[_BB84_MATCHED].sum(), wrong[_BB84_MATCHED].sum()
+        return single.sum(), sifted, errors, upper, lower
+    clicked = cells[..., _UPPER:].sum(axis=-1)
+    # a click decodes as bit 1 - column: wrong exactly when column == row
+    return clicked.sum(), clicked.sum(), np.trace(clicked), upper, lower
 
-    if cfg.protocol == BB84:
-        single = up_click ^ low_click
-        decoded = low_click.astype(np.int64)  # upper-only -> 0, lower-only -> 1
-        sifted = single & (alice_basis == bob_basis)
-        conclusive = int(np.count_nonzero(single))
-    else:
-        clicked = up_click | low_click
-        decoded = 1 - col  # Bob's pi choice implies bit 1, 3*pi/2 implies bit 0
-        sifted = clicked
-        conclusive = int(np.count_nonzero(clicked))
 
-    sifted_count = int(np.count_nonzero(sifted))
-    errors = int(np.count_nonzero(sifted & (decoded != bits)))
+def expected_counts(
+    cfg: SessionConfig, phase_error: float = 0.0
+) -> tuple[float, float, float]:
+    """Expected (conclusive, sifted, errors) counts of a session."""
+    conclusive, sifted, errors, _, _ = _tally(
+        cfg.protocol, cfg.n_pulses * _cell_probabilities(cfg, phase_error)
+    )
+    return float(conclusive), float(sifted), float(errors)
+
+
+def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
+    """Simulate one key-exchange session; deterministic for a given seed."""
+    p = _cell_probabilities(cfg, phase_error)
+    counts = np.random.default_rng(cfg.seed).multinomial(cfg.n_pulses, p.ravel())
+    conclusive, sifted, errors, upper, lower = map(
+        int, _tally(cfg.protocol, counts.reshape(p.shape))
+    )
     return SessionStats(
-        sent=n,
+        sent=cfg.n_pulses,
         conclusive=conclusive,
-        sifted_bits=sifted_count,
+        sifted_bits=sifted,
         errors=errors,
-        qber=errors / sifted_count if sifted_count else None,
-        upper_clicks=int(np.count_nonzero(up_click)),
-        lower_clicks=int(np.count_nonzero(low_click)),
+        qber=errors / sifted if sifted else None,
+        upper_clicks=upper,
+        lower_clicks=lower,
     )
 
 

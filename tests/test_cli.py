@@ -235,3 +235,29 @@ class TestQkdCommand:
             "[alice]\nkind = PM\nm = 0.1\npsi = 0\n\n[bob]\nkind = PM\nm = 0.1\npsi = 0\n",
         )
         assert main(["qkd", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mu", "nan"), ("mu", "inf"), ("n_pulses", "1e20"), ("n_pulses", "nan"),
+         ("n_pulses", "inf")],
+    )
+    def test_unsamplable_session_is_a_config_error(self, tmp_path, capsys, key, value):
+        text = BB84_CONFIG.replace(
+            next(line for line in BB84_CONFIG.splitlines() if line.startswith(f"{key} =")),
+            f"{key} = {value}",
+        )
+        assert main(["qkd", "--config", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and key in captured.err
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, BB84_CONFIG)
+        assert main(["qkd", "--config", path, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
+
+    def test_largest_session_runs(self, tmp_path, capsys):
+        # parsed exactly, not through a float that rounds up to 2**63
+        text = BB84_CONFIG.replace("n_pulses = 20000", f"n_pulses = {2**63 - 1}")
+        assert main(["qkd", "--config", write_config(tmp_path, text)]) == 0
+        assert json.loads(capsys.readouterr().out)["stats"]["sent"] == 2**63 - 1

@@ -1,15 +1,19 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fcqkd import (
     B92,
     BB84,
     InfeasibleProtocolError,
+    InvalidParameterError,
     LinkSpec,
     ModulatorKind,
     SessionConfig,
+    expected_counts,
     make_modulator,
     qber_vs_offset,
     run_session,
@@ -97,10 +101,14 @@ def test_infeasible_protocol_rejected():
 
 
 def test_basis_mismatch_near_half():
-    stats = run_session(bb84_config(n_pulses=100_000))
+    # a matched cell sends all its light to one counter, a mismatched cell
+    # splits it and loses double clicks, so the matched share is above 1/2
+    cfg = bb84_config(n_pulses=100_000)
+    stats = run_session(cfg)
+    conclusive, sifted, _ = expected_counts(cfg)
     matched_fraction = stats.sifted_bits / stats.conclusive
     sigma = math.sqrt(0.25 / stats.conclusive)
-    assert abs(matched_fraction - 0.5) < 3 * sigma
+    assert abs(matched_fraction - sifted / conclusive) < 3 * sigma
 
 
 def test_conclusive_rate_linear_in_mu():
@@ -139,8 +147,6 @@ def test_qber_vs_offset_follows_fringe_law():
 
 
 def test_invalid_config_rejected():
-    from fcqkd import InvalidParameterError
-
     for bad in (
         dict(mu=-0.1),
         dict(eta=1.5),
@@ -150,3 +156,52 @@ def test_invalid_config_rejected():
     ):
         with pytest.raises(InvalidParameterError):
             bb84_config(**bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(mu=math.nan), dict(mu=math.inf), dict(seed=-1), dict(seed=1.5),
+     dict(n_pulses=2**63), dict(n_pulses=int(1e20)), dict(n_pulses=1500.7)],
+)
+def test_unsamplable_config_rejected(bad):
+    with pytest.raises(InvalidParameterError):
+        bb84_config(**bad)
+
+
+def test_expected_counts_match_mean_over_seeds():
+    # dark counts and an uncompensated phase make every count nonzero
+    for cfg_maker in (bb84_config, b92_config):
+        cfg = cfg_maker(mu=0.3, p_dark=0.01, n_pulses=20_000)
+        samples = np.array([
+            (s.conclusive, s.sifted_bits, s.errors)
+            for s in (run_session(replace(cfg, seed=seed), phase_error=0.4)
+                      for seed in range(200))
+        ])
+        expected = expected_counts(cfg, phase_error=0.4)
+        stderr = samples.std(axis=0, ddof=1) / math.sqrt(len(samples))
+        assert np.all(np.abs(samples.mean(axis=0) - expected) < 4 * stderr)
+
+
+def test_session_memory_independent_of_pulses():
+    cfg = b92_config(n_pulses=10**12)
+    tracemalloc.start()
+    try:
+        stats = run_session(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.sent == 10**12
+    assert peak < 1_000_000
+
+
+def test_expected_counts_closed_form():
+    # ideal BB84: a matched cell sends all light to one counter, a
+    # mismatched cell half to each, and a double click is dropped
+    mu, n = 0.1, 100_000
+    matched = 1.0 - math.exp(-mu)
+    half = 1.0 - math.exp(-mu / 2)
+    conclusive, sifted, errors = expected_counts(bb84_config(mu=mu, n_pulses=n))
+    assert sifted == pytest.approx(n * matched / 2, rel=1e-9)
+    assert conclusive == pytest.approx(n * (matched / 2 + half * (1.0 - half)), rel=1e-9)
+    assert errors == pytest.approx(0.0, abs=1e-9)
+    assert sifted / conclusive == pytest.approx(0.5063, abs=1e-4)
