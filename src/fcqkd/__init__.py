@@ -18,93 +18,51 @@ from .errors import (
     PhaseUndefinedError,
     TruncationError,
 )
-from .harmonics import (
-    HarmonicSpectrum,
-    bessel_j,
-    default_order,
-    exact_modulator_spectrum,
-    exact_tandem_spectrum,
-    small_signal_error,
-)
+from .harmonics import exact_tandem_spectrum, small_signal_error
 from .link import (
     LinkSpec,
-    TandemResult,
-    cascade,
     interference_coeffs,
     phase_offset,
-    propagate,
     sideband_powers,
     sideband_powers_direct,
-    tandem_result,
     visibility,
 )
 from .modulator import (
     ModulatorKind,
     ModulatorSpec,
-    ThreeBandField,
-    band_amplitudes,
     bias_phase_from_voltage,
     index_from_voltage,
     make_modulator,
 )
-from .montecarlo import (
-    SessionConfig,
-    SessionStats,
-    expected_counts,
-    qber_vs_offset,
-    run_session,
-)
-from .protocols import (
-    B92,
-    BB84,
-    ClassificationRow,
-    ProtocolFeasibility,
-    classify_pair,
-    effective_phase_diff,
-    phase_alphabet,
-)
+from .montecarlo import SessionConfig, expected_counts, qber_vs_offset, run_session
+from .protocols import B92, BB84, classify_pair
 
 __all__ = [
     "B92",
     "BB84",
-    "ClassificationRow",
     "ConfigError",
     "DegenerateConfigurationError",
     "FcqkdError",
-    "HarmonicSpectrum",
     "InfeasibleProtocolError",
     "InvalidParameterError",
     "LinkSpec",
     "ModulatorKind",
     "ModulatorSpec",
     "PhaseUndefinedError",
-    "ProtocolFeasibility",
     "SessionConfig",
-    "SessionStats",
-    "TandemResult",
-    "ThreeBandField",
     "TruncationError",
-    "band_amplitudes",
-    "bessel_j",
     "bias_phase_from_voltage",
-    "cascade",
     "classify_pair",
-    "default_order",
-    "effective_phase_diff",
-    "exact_modulator_spectrum",
     "exact_tandem_spectrum",
     "expected_counts",
     "index_from_voltage",
     "interference_coeffs",
     "make_modulator",
-    "phase_alphabet",
     "phase_offset",
-    "propagate",
     "qber_vs_offset",
     "run_session",
     "sideband_powers",
     "sideband_powers_direct",
     "small_signal_error",
-    "tandem_result",
     "visibility",
 ]

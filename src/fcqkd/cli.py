@@ -30,10 +30,10 @@ from .errors import (
     InvalidParameterError,
     TruncationError,
 )
-from .harmonics import default_order, exact_tandem_spectrum
-from .link import sideband_powers, sideband_powers_direct, tandem_result
+from .harmonics import exact_tandem_spectrum
+from .link import _fringe, sideband_powers, sideband_powers_direct
 from .modulator import ModulatorSpec
-from .montecarlo import SessionConfig, run_session
+from .montecarlo import run_session
 from .protocols import (
     ROW_ORDER,
     ClassificationRow,
@@ -106,13 +106,13 @@ def _modulator_json(spec: ModulatorSpec) -> dict:
 
 def _bob_phi_for(cfg: RunConfig, delta_phi: float) -> float:
     """Bob's drive phase realizing the requested fringe argument."""
-    result = tandem_result(cfg.alice, cfg.bob)  # raises when fully degenerate
-    if result.phase_offset is None:
+    _, _, _, offset = _fringe(cfg.alice, cfg.bob)  # raises when fully degenerate
+    if offset is None:
         raise DegenerateConfigurationError(
             "no interference fringe: one sideband contribution vanishes "
             "at these biases"
         )
-    return delta_phi - cfg.link.link_phase - result.phase_offset + cfg.alice.phi
+    return delta_phi - cfg.link.link_phase - offset + cfg.alice.phi
 
 
 def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
@@ -239,28 +239,19 @@ def cmd_verify(max_m: float, out_path: str | None) -> int:
 def cmd_qkd(cfg: RunConfig, seed: int | None, out_path: str | None) -> int:
     if cfg.montecarlo is None:
         raise ConfigError("qkd needs a [montecarlo] section in the config")
-    mc = cfg.montecarlo
-    session = SessionConfig(
-        protocol=mc.protocol,
-        alice=cfg.alice,
-        bob=cfg.bob,
-        link=cfg.link,
-        mu=mc.mu,
-        eta=mc.eta,
-        p_dark=mc.p_dark,
-        n_pulses=mc.n_pulses,
-        seed=mc.seed if seed is None else seed,
-    )
+    session = cfg.montecarlo
+    if seed is not None:
+        session = dataclasses.replace(session, seed=seed)
     stats = run_session(session)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "qkd",
-        "protocol": mc.protocol,
-        "alice": _modulator_json(cfg.alice),
-        "bob": _modulator_json(cfg.bob),
-        "mu": mc.mu,
-        "eta": mc.eta,
-        "p_dark": mc.p_dark,
+        "protocol": session.protocol,
+        "alice": _modulator_json(session.alice),
+        "bob": _modulator_json(session.bob),
+        "mu": session.mu,
+        "eta": session.eta,
+        "p_dark": session.p_dark,
         "seed": session.seed,
         "stats": {
             "sent": stats.sent,
@@ -331,8 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spectrum":
             cfg = _load(args)
             fmt = args.format or cfg.out_format or "csv"
-            order = args.order if args.order is not None else default_order(cfg.alice, cfg.bob)
-            return cmd_spectrum(cfg, args.delta_phi, order, fmt, args.out or cfg.out_path)
+            return cmd_spectrum(cfg, args.delta_phi, args.order, fmt, args.out or cfg.out_path)
         if args.command == "table2":
             return cmd_table2(args.out)
         if args.command == "verify":

@@ -3,7 +3,9 @@
 Sections and keys are fixed; anything unknown is rejected.  Each modulator
 takes its drive as exactly one of ``v_rf_volts`` (converted through the
 half-wave voltage) or a direct index ``m``, and its bias as exactly one of
-``v_dc_volts`` or a direct ``psi``.
+``v_dc_volts`` or a direct ``psi``.  A ``[montecarlo]`` section becomes a
+:class:`~fcqkd.montecarlo.SessionConfig` over the parsed modulators and
+link, so its values are checked at parse time whatever the command.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .modulator import (
     index_from_voltage,
     make_modulator,
 )
+from .montecarlo import SessionConfig
 
 _SECTION_KEYS = {
     "source": {"wavelength_nm", "power_dbm"},
@@ -75,16 +78,6 @@ seed = 7
 
 
 @dataclass(frozen=True)
-class MonteCarloSettings:
-    protocol: str
-    mu: float
-    eta: float
-    p_dark: float
-    n_pulses: int
-    seed: int
-
-
-@dataclass(frozen=True)
 class RunConfig:
     wavelength_nm: float
     power_dbm: float
@@ -95,7 +88,7 @@ class RunConfig:
     sweep_start: float
     sweep_stop: float
     sweep_steps: int
-    montecarlo: MonteCarloSettings | None
+    montecarlo: SessionConfig | None
     out_format: str | None
     out_path: str | None
 
@@ -213,8 +206,11 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"[montecarlo] protocol = {mc.get('protocol')!r}: expected B92 or BB84"
             )
-        montecarlo = MonteCarloSettings(
+        montecarlo = SessionConfig(
             protocol=protocol,
+            alice=alice,
+            bob=bob,
+            link=link,
             mu=_get_float(mc, "mu"),
             eta=_get_float(mc, "eta", 1.0),
             p_dark=_get_float(mc, "p_dark", 0.0),

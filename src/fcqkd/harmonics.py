@@ -28,6 +28,11 @@ from .modulator import ModulatorSpec, carrier_amplitude, sideband_factor
 # the low-modulation artifact ever needs.
 BESSEL_MAX_ARG = 1.5
 
+# Highest truncation order: bessel_j's leading term needs
+# math.factorial(order) as a float, which overflows beyond 170!.  The cap
+# also bounds the O(order^2) tandem convolution.
+MAX_ORDER = 170
+
 _SERIES_RTOL = 1e-16
 _TAIL_ENERGY_RTOL = 1e-12
 
@@ -104,6 +109,10 @@ def default_order(*mods: ModulatorSpec) -> int:
 
 
 def _require_order(order: int, *mods: ModulatorSpec) -> None:
+    if order > MAX_ORDER:
+        raise InvalidParameterError(
+            f"order {order} above the supported maximum {MAX_ORDER}"
+        )
     m_max = max((max(m.m1, m.m2) for m in mods), default=0.0)
     if order < 3.0 * m_max + 5.0:
         raise TruncationError(

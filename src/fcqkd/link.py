@@ -63,21 +63,6 @@ class LinkSpec:
             raise InvalidParameterError("link_phase must be finite")
 
 
-@dataclass(frozen=True)
-class TandemResult:
-    """Interference summary of one Alice-Bob pairing.
-
-    ``phase_offset`` is None when either coefficient vanishes (no fringe).
-    ``norm`` is |alice_coeff|^2 + |bob_coeff|^2.
-    """
-
-    alice_coeff: complex
-    bob_coeff: complex
-    visibility: float
-    phase_offset: float | None
-    norm: float
-
-
 def propagate(field: ThreeBandField, link: LinkSpec) -> ThreeBandField:
     """Apply the span: common delay phase on the sidebands plus flat loss.
 
@@ -187,10 +172,13 @@ def _fringe(
     return a, b, visibility(a, b), phase_offset(a, b)
 
 
-def tandem_result(alice: ModulatorSpec, bob: ModulatorSpec) -> TandemResult:
-    """Evaluate coefficients, visibility and phase offset for a pairing."""
-    a, b, vis, offset = _fringe(alice, bob)
-    return TandemResult(a, b, vis, offset, abs(a) ** 2 + abs(b) ** 2)
+def _fringe_powers(vis: float, offset: float, x: float) -> tuple[float, float]:
+    """The fringe law (upper, lower) = 1/2 [1 + V cos(x +/- offset)].
+
+    ``x`` is the drive-phase difference plus the span phase,
+    phi_b - phi_a + link_phase.
+    """
+    return 0.5 * (1.0 + vis * math.cos(x + offset)), 0.5 * (1.0 + vis * math.cos(x - offset))
 
 
 def sideband_powers(
@@ -205,10 +193,7 @@ def sideband_powers(
     _, _, vis, offset = _fringe(alice, bob)
     if offset is None:
         return 0.5, 0.5
-    x = bob.phi - alice.phi + link.link_phase
-    p_upper = 0.5 * (1.0 + vis * math.cos(x + offset))
-    p_lower = 0.5 * (1.0 + vis * math.cos(x - offset))
-    return p_upper, p_lower
+    return _fringe_powers(vis, offset, bob.phi - alice.phi + link.link_phase)
 
 
 def sideband_powers_direct(

@@ -48,6 +48,13 @@ _COUPLING = {
 }
 
 
+def _coupling(kind: ModulatorKind) -> tuple[float, float, float]:
+    """The coupling-table entry of ``kind``; rejects unknown kinds."""
+    if kind not in _COUPLING:
+        raise InvalidParameterError(f"unknown modulator kind {kind!r}")
+    return _COUPLING[kind]
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -78,15 +85,12 @@ class ModulatorSpec:
             raise InvalidParameterError("coupling factors must be >= 0")
         if self.m1 < 0 or self.m2 < 0:
             raise InvalidParameterError("modulation indices must be >= 0")
-        if self.kind is ModulatorKind.PM:
-            if self.eps2 != 0.0 or self.m2 != 0.0:
-                raise InvalidParameterError("PM requires eps2 = 0 and m2 = 0")
-        elif self.kind is ModulatorKind.AM:
-            if self.eps1 != self.eps2 or self.m1 != self.m2:
-                raise InvalidParameterError("AM requires eps1 = eps2 and m1 = m2")
-        elif self.kind is ModulatorKind.UM:
-            if self.eps1 != self.eps2 or self.m2 != 0.0:
-                raise InvalidParameterError("UM requires eps1 = eps2 and m2 = 0")
+        # Couplings may be rescaled together, so only their ratio is fixed.
+        e1, e2, share = _coupling(self.kind)
+        if self.eps2 * e1 != self.eps1 * e2 or self.m2 != share * self.m1:
+            raise InvalidParameterError(
+                f"{self.kind.value} requires eps1:eps2 = {e1}:{e2} and m2 = {share} * m1"
+            )
 
     @property
     def beyond_low_modulation(self) -> bool:
@@ -126,9 +130,7 @@ def make_modulator(
     m = _require_finite("m", m)
     if m < 0:
         raise InvalidParameterError(f"modulation index must be >= 0, got {m}")
-    if kind not in _COUPLING:
-        raise InvalidParameterError(f"unknown modulator kind {kind!r}")
-    eps1, eps2, share = _COUPLING[kind]
+    eps1, eps2, share = _coupling(kind)
     return ModulatorSpec(kind, eps1, eps2, m, share * m, psi, phi)
 
 

@@ -45,7 +45,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InfeasibleProtocolError, InvalidParameterError
-from .link import LinkSpec, interference_coeffs, phase_offset, sideband_powers
+from .link import LinkSpec, _fringe, _fringe_powers
 from .modulator import ModulatorSpec
 from .protocols import B92, BB84, CANONICAL_PHASES, check_protocol
 
@@ -103,20 +103,30 @@ class SessionStats:
     lower_clicks: int
 
 
+def _infeasible(cfg: SessionConfig, reason: str) -> InfeasibleProtocolError:
+    return InfeasibleProtocolError(
+        reason, f"{cfg.protocol} not supported by this pairing: {reason}"
+    )
+
+
 def _counter_powers(cfg: SessionConfig, phase_error: float) -> np.ndarray:
     """(upper, lower) powers of every alphabet cell, shape (2, rows, columns).
 
     Bob's compensation uses the configured link phase and the pairing's
     intrinsic offset; ``phase_error`` shifts the physical span phase
-    without Bob's knowledge.
+    without Bob's knowledge.  Raises :class:`InfeasibleProtocolError` when
+    a coefficient vanishes at the configured drive indices.
     """
-    offset = phase_offset(*interference_coeffs(cfg.alice, cfg.bob))
+    _, _, vis, offset = _fringe(cfg.alice, cfg.bob)
+    if offset is None:
+        raise _infeasible(cfg, "zero-visibility")
     compensation = cfg.link.link_phase + offset
-    link_actual = replace(cfg.link, link_phase=cfg.link.link_phase + phase_error)
-    alice_phases, bob_phases = _ALPHABETS[cfg.protocol]
-    alices = [replace(cfg.alice, phi=CANONICAL_PHASES[a]) for a in alice_phases]
-    bobs = [replace(cfg.bob, phi=CANONICAL_PHASES[b] - compensation) for b in bob_phases]
-    powers = [[sideband_powers(alice, bob, link_actual) for bob in bobs] for alice in alices]
+    span_phase = cfg.link.link_phase + phase_error
+    alices, bobs = ([CANONICAL_PHASES[k] for k in row] for row in _ALPHABETS[cfg.protocol])
+    powers = [
+        [_fringe_powers(vis, offset, phi_b - compensation - phi_a + span_phase) for phi_b in bobs]
+        for phi_a in alices
+    ]
     return np.moveaxis(np.array(powers), -1, 0)
 
 
@@ -128,11 +138,7 @@ def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> np.ndarray:
     """
     feasibility = check_protocol(cfg.alice, cfg.bob, cfg.protocol)
     if not feasibility.feasible:
-        raise InfeasibleProtocolError(
-            feasibility.failure_reason,
-            f"{cfg.protocol} not supported by this pairing: "
-            f"{feasibility.failure_reason}",
-        )
+        raise _infeasible(cfg, feasibility.failure_reason)
     powers = _counter_powers(cfg, phase_error)
     # Rounding can leave a fringe null a hair below zero; no light is no light.
     quiet_up, quiet_low = (1.0 - cfg.p_dark) * np.exp(

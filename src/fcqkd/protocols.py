@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import InfeasibleProtocolError, InvalidParameterError
+from .errors import InvalidParameterError
 from .link import _coefficients, phase_offset, wrap_to_pi
 from .modulator import _COUPLING, ModulatorKind, ModulatorSpec, _require_finite
 
@@ -33,22 +33,9 @@ BB84 = "BB84"
 
 THETA_TOL = 1e-9
 
+# Drive phases of the key alphabets; montecarlo picks each protocol's
+# alphabet from these and compensates Bob's for the span and offset.
 CANONICAL_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-
-
-def wrap_to_two_pi(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
-    wrapped = math.fmod(angle, math.tau)
-    if wrapped < 0.0:
-        wrapped += math.tau
-    return 0.0 if wrapped == math.tau else wrapped
-
-
-def effective_phase_diff(
-    phi_a: float, phi_b: float, link_phase: float, offset: float
-) -> float:
-    """Total fringe argument phi_b - phi_a + link_phase + offset in [0, 2*pi)."""
-    return wrap_to_two_pi(phi_b - phi_a + link_phase + offset)
 
 
 @dataclass(frozen=True)
@@ -148,6 +135,14 @@ _ZERO_VIS_FAMILIES = (
 )
 
 
+def _require_grid(psi_grid: list[float]) -> None:
+    """Reject an empty bias grid or one with a non-finite bias."""
+    if not psi_grid:
+        raise InvalidParameterError("psi_grid must be non-empty")
+    for psi in psi_grid:
+        _require_finite("psi", psi)
+
+
 def _feasibility_on(alice_kind, bob_kind, protocol, points):
     return [
         _verdict(_unit_coeffs(alice_kind, bob_kind, pa, pb), protocol) for pa, pb in points
@@ -205,10 +200,7 @@ def classify_pair(
     coefficients; the canonical labels come from the reference table for
     readability only.
     """
-    if not psi_grid:
-        raise ValueError("psi_grid must be non-empty")
-    for psi in psi_grid:
-        _require_finite("psi", psi)
+    _require_grid(psi_grid)
     b92 = _classify_protocol(alice_kind, bob_kind, B92, psi_grid)
     bb84 = _classify_protocol(alice_kind, bob_kind, BB84, psi_grid)
 
@@ -229,41 +221,6 @@ def classify_pair(
         b92=b92,
         bb84=bb84,
     )
-
-
-class PhaseSetting(NamedTuple):
-    phi_a: float
-    phi_b: float
-    delta_phi: float
-
-
-def phase_alphabet(
-    protocol: str, link_phase: float, offset: float
-) -> list[PhaseSetting]:
-    """Electrical-phase settings realizing the four canonical fringe points.
-
-    Bob's returned phases absorb ``link_phase + offset`` so the achieved
-    fringe argument is simply (canonical phi_b) - phi_a.  All sixteen
-    combinations of the canonical phases are returned with their intended
-    fringe argument; together they cover {0, pi/2, pi, 3*pi/2}.
-    """
-    if _theta_distance(offset, _required_shift(protocol)) > THETA_TOL:
-        raise InfeasibleProtocolError(
-            "theta-mismatch",
-            f"phase offset {offset!r} incompatible with {protocol}",
-        )
-    compensation = link_phase + offset
-    settings = []
-    for phi_a in CANONICAL_PHASES:
-        for phi_b in CANONICAL_PHASES:
-            settings.append(
-                PhaseSetting(
-                    phi_a=phi_a,
-                    phi_b=wrap_to_two_pi(phi_b - compensation),
-                    delta_phi=wrap_to_two_pi(phi_b - phi_a),
-                )
-            )
-    return settings
 
 
 # --- hand-derived reference table ------------------------------------------
@@ -417,6 +374,7 @@ def compare_row_with_reference(
     (expected on the principal branch) plus feasibility verdicts,
     constraints and failure reasons.  An empty list means full agreement.
     """
+    _require_grid(psi_grid)
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     name = f"{alice_kind.value}-{bob_kind.value}"
     failures: list[str] = []

@@ -18,13 +18,13 @@ from fcqkd import (
     LinkSpec,
     ModulatorKind,
     SessionConfig,
-    exact_modulator_spectrum,
     make_modulator,
     run_session,
     sideband_powers,
     sideband_powers_direct,
 )
 from fcqkd.cli import main, table_grid
+from fcqkd.harmonics import exact_modulator_spectrum
 from fcqkd.montecarlo import offset_seed
 from fcqkd.protocols import ROW_ORDER, check_protocol, classify_pair, compare_row_with_reference
 from fcqkd.verification import FROZEN_WORST, survey_all

@@ -156,6 +156,19 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) - 1 == 21
 
+    def test_highest_order_runs(self, capsys):
+        assert main(["spectrum", "--order", "170"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) - 1 == 341
+
+    @pytest.mark.parametrize("order", ["171", "100000"])
+    def test_order_above_cap_is_a_parameter_error(self, capsys, order):
+        # 171! overflows a float inside the Bessel series
+        assert main(["spectrum", "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order") and "Traceback" not in captured.err
+
 
 class TestTable2Command:
     def test_passes_against_reference(self, capsys):
@@ -228,6 +241,21 @@ class TestQkdCommand:
         path = write_config(tmp_path, text)
         assert main(["qkd", "--config", path]) == 2
         assert "zero-visibility" in capsys.readouterr().err
+
+    def test_vanished_coefficient_cited(self, tmp_path, capsys):
+        # the biases support BB84, but Alice at m = 0 makes no sidebands
+        text = BB84_CONFIG.replace("m = 0.1", "m = 0")
+        assert main(["qkd", "--config", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "zero-visibility" in captured.err
+
+    def test_invalid_montecarlo_fails_every_command(self, tmp_path, capsys):
+        path = write_config(tmp_path, BB84_CONFIG.replace("mu = 0.1", "mu = nan"))
+        for command in ("sweep", "spectrum", "qkd"):
+            assert main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: mu")
 
     def test_missing_montecarlo_section(self, tmp_path, capsys):
         path = write_config(

@@ -10,15 +10,12 @@ from fcqkd import (
     LinkSpec,
     ModulatorKind,
     TruncationError,
-    band_amplitudes,
-    bessel_j,
-    default_order,
-    exact_modulator_spectrum,
     exact_tandem_spectrum,
     make_modulator,
     small_signal_error,
 )
-from fcqkd.harmonics import propagate_spectrum
+from fcqkd.harmonics import bessel_j, default_order, exact_modulator_spectrum, propagate_spectrum
+from fcqkd.modulator import band_amplitudes
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 

@@ -9,11 +9,11 @@ from fcqkd import (
     InvalidParameterError,
     ModulatorKind,
     ModulatorSpec,
-    band_amplitudes,
     bias_phase_from_voltage,
     index_from_voltage,
     make_modulator,
 )
+from fcqkd.modulator import band_amplitudes
 
 KINDS = [ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM]
 
@@ -57,6 +57,13 @@ def test_kind_pattern_enforced(kind):
             ModulatorSpec(kind, 0.5, 0.5, 0.1, 0.2)
         else:
             ModulatorSpec(kind, 0.5, 0.5, 0.1, 0.1)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(InvalidParameterError, match="unknown modulator kind"):
+        ModulatorSpec("PM", 1.0, 0.0, 0.1, 0.0)
+    with pytest.raises(InvalidParameterError, match="unknown modulator kind"):
+        make_modulator("PM", 0.1)
 
 
 @given(st.sampled_from(KINDS), indices, angles, angles)

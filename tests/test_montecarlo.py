@@ -100,6 +100,15 @@ def test_infeasible_protocol_rejected():
     assert err.value.reason == "zero-visibility"
 
 
+@pytest.mark.parametrize("session", [run_session, expected_counts])
+def test_vanished_coefficient_rejected(session):
+    # a feasible kind pairing whose sideband from Alice vanishes at m = 0
+    cfg = b92_config(alice=make_modulator(UM, 0.0, 0.0))
+    with pytest.raises(InfeasibleProtocolError) as err:
+        session(cfg)
+    assert err.value.reason == "zero-visibility"
+
+
 def test_basis_mismatch_near_half():
     # a matched cell sends all its light to one counter, a mismatched cell
     # splits it and loses double clicks, so the matched share is above 1/2

@@ -5,15 +5,12 @@ import pytest
 from fcqkd import (
     B92,
     BB84,
-    InfeasibleProtocolError,
     InvalidParameterError,
     LinkSpec,
     ModulatorKind,
     ModulatorSpec,
     classify_pair,
-    effective_phase_diff,
     make_modulator,
-    phase_alphabet,
     sideband_powers,
 )
 from fcqkd.protocols import (
@@ -27,13 +24,6 @@ from fcqkd.protocols import (
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
 GRID = [0.08 + (math.pi / 2 - 0.16) * i / 11 for i in range(12)]
-
-
-def test_effective_phase_diff():
-    assert effective_phase_diff(0.0, 0.0, 0.0, 0.0) == 0.0
-    assert effective_phase_diff(0.0, math.pi, 0.0, 0.0) == pytest.approx(math.pi)
-    assert effective_phase_diff(math.pi / 2, 0.0, math.pi / 4, math.pi / 4) == pytest.approx(0.0)
-    assert 0.0 <= effective_phase_diff(5.0, 1.0, 2.0, 3.0) < math.tau
 
 
 class TestPointChecks:
@@ -133,6 +123,13 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_pair(UM, UM, [])
 
+    def test_empty_grid_is_a_parameter_error_for_both_callers(self):
+        row = classify_pair(UM, UM, GRID)
+        with pytest.raises(InvalidParameterError, match="non-empty"):
+            classify_pair(UM, UM, [])
+        with pytest.raises(InvalidParameterError, match="non-empty"):
+            compare_row_with_reference(UM, UM, row, [])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_bias_rejected(self, bad):
         # a NaN coefficient would compare as "no deviation" and pass silently
@@ -184,28 +181,3 @@ class TestFringeLaws:
             p_up, p_low = sideband_powers(alice, bob, link)
             assert p_up == pytest.approx(math.cos(target / 2) ** 2, abs=1e-12)
             assert p_low == pytest.approx(math.cos(target / 2) ** 2, abs=1e-12)
-
-
-class TestPhaseAlphabet:
-    def test_covers_canonical_values(self):
-        settings = phase_alphabet(B92, 0.0, 0.0)
-        assert len(settings) == 16
-        achieved = {round(s.delta_phi, 12) for s in settings}
-        expected = {round(v, 12) for v in (0.0, math.pi / 2, math.pi, 1.5 * math.pi)}
-        assert expected <= achieved
-
-    def test_bob_offset_absorbs_link_and_theta(self):
-        link_phase, offset = 0.7, math.pi / 2
-        for s in phase_alphabet(BB84, link_phase, offset):
-            assert effective_phase_diff(s.phi_a, s.phi_b, link_phase, offset) == \
-                pytest.approx(s.delta_phi, abs=1e-12)
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(InvalidParameterError, match="E91"):
-            phase_alphabet("E91", 0.0, math.pi / 2)
-
-    def test_mismatched_offset_rejected(self):
-        with pytest.raises(InfeasibleProtocolError):
-            phase_alphabet(B92, 0.0, math.pi / 2)
-        with pytest.raises(InfeasibleProtocolError):
-            phase_alphabet(BB84, 0.0, 0.3)
