@@ -31,7 +31,7 @@ from .errors import (
     TruncationError,
 )
 from .harmonics import exact_tandem_spectrum
-from .link import _fringe, sideband_powers, sideband_powers_direct
+from .link import _fringe, _fringe_powers, sideband_powers_direct
 from .modulator import ModulatorSpec
 from .montecarlo import run_session
 from .protocols import (
@@ -104,26 +104,35 @@ def _modulator_json(spec: ModulatorSpec) -> dict:
     }
 
 
-def _bob_phi_for(cfg: RunConfig, delta_phi: float) -> float:
-    """Bob's drive phase realizing the requested fringe argument."""
-    _, _, _, offset = _fringe(cfg.alice, cfg.bob)  # raises when fully degenerate
+def _fringe_offset(cfg: RunConfig) -> tuple[float, float]:
+    """Visibility and intrinsic offset of the configured pairing."""
+    _, _, vis, offset = _fringe(cfg.alice, cfg.bob)  # raises when fully degenerate
     if offset is None:
         raise DegenerateConfigurationError(
             "no interference fringe: one sideband contribution vanishes "
             "at these biases"
         )
+    return vis, offset
+
+
+def _bob_phi_for(cfg: RunConfig, offset: float, delta_phi: float) -> float:
+    """Bob's drive phase realizing the requested fringe argument."""
     return delta_phi - cfg.link.link_phase - offset + cfg.alice.phi
 
 
 def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
     header = ["delta_phi_rad", "p_upper", "p_lower", "p_upper_closed", "p_lower_closed"]
     rows = []
+    vis, offset = _fringe_offset(cfg)
     span = cfg.sweep_stop - cfg.sweep_start
     for k in range(cfg.sweep_steps):
         delta = cfg.sweep_start + span * k / cfg.sweep_steps
-        bob = dataclasses.replace(cfg.bob, phi=_bob_phi_for(cfg, delta))
+        bob_phi = _bob_phi_for(cfg, offset, delta)
+        bob = dataclasses.replace(cfg.bob, phi=bob_phi)
         direct_up, direct_low = sideband_powers_direct(cfg.alice, bob, cfg.link)
-        closed_up, closed_low = sideband_powers(cfg.alice, bob, cfg.link)
+        closed_up, closed_low = _fringe_powers(
+            vis, offset, bob_phi - cfg.alice.phi + cfg.link.link_phase
+        )
         rows.append([delta, direct_up, direct_low, closed_up, closed_low])
     _emit("sweep", header, rows, fmt, out_path)
     return EXIT_OK
@@ -132,7 +141,8 @@ def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
 def cmd_spectrum(
     cfg: RunConfig, delta_phi: float, order: int | None, fmt: str, out_path: str | None
 ) -> int:
-    bob = dataclasses.replace(cfg.bob, phi=_bob_phi_for(cfg, delta_phi))
+    _, offset = _fringe_offset(cfg)
+    bob = dataclasses.replace(cfg.bob, phi=_bob_phi_for(cfg, offset, delta_phi))
     spectrum = exact_tandem_spectrum(cfg.alice, bob, cfg.link, order)
     carrier = spectrum.power(0)
     if carrier <= 0.0:
@@ -332,10 +342,10 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_qkd(cfg, args.seed, args.out or cfg.out_path)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, InvalidParameterError, InfeasibleProtocolError,
-            DegenerateConfigurationError) as exc:
+            DegenerateConfigurationError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationError, FcqkdError) as exc:
+    except FcqkdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

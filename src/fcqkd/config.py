@@ -35,6 +35,9 @@ _SECTION_KEYS = {
     "output": {"format", "path"},
 }
 
+# Every sweep step is one output row held in memory until the sweep is written.
+MAX_SWEEP_STEPS = 100_000
+
 # Matches the bench this model was written around: 15 GHz drive, a 1550 nm
 # source at 5 dBm, and half-wave voltages of 5.5 V (UM) / 7.4 V (PM).
 DEFAULT_CONFIG = """\
@@ -195,8 +198,8 @@ def parse_config(text: str) -> RunConfig:
         sweep_start = _get_float(sweep, "start", 0.0)
         sweep_stop = _get_float(sweep, "stop", math.tau)
         sweep_steps = _get_int(sweep, "steps", 64)
-        if sweep_steps <= 0:
-            raise ConfigError("[sweep] steps must be > 0")
+        if not 0 < sweep_steps <= MAX_SWEEP_STEPS:
+            raise ConfigError(f"[sweep] steps must be in [1, {MAX_SWEEP_STEPS}]")
 
     montecarlo = None
     if "montecarlo" in parser:

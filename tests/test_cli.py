@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from fcqkd import cli, link
 from fcqkd.cli import main
-from fcqkd.config import ConfigError, default_config, parse_config
+from fcqkd.config import MAX_SWEEP_STEPS, ConfigError, default_config, parse_config
 from fcqkd.modulator import ModulatorKind
 from fcqkd.protocols import REFERENCE_TABLE
 
@@ -130,6 +131,25 @@ class TestSweepCommand:
             assert low == pytest.approx(math.sin(delta / 2) ** 2, abs=1e-12)
             assert up + low == pytest.approx(1.0, abs=1e-12)
 
+    def test_one_fringe_evaluation_per_sweep(self, monkeypatch, capsys):
+        calls, fringe = [], link._fringe
+
+        def counting(alice, bob):
+            calls.append(1)
+            return fringe(alice, bob)
+
+        monkeypatch.setattr(link, "_fringe", counting)
+        monkeypatch.setattr(cli, "_fringe", counting)
+        assert main(["sweep"]) == 0
+        assert len(calls) == 1
+
+    def test_steps_above_cap_is_a_config_error(self, tmp_path, capsys):
+        text = BB84_CONFIG + f"\n[sweep]\nsteps = {MAX_SWEEP_STEPS + 1}\n"
+        assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [sweep] steps") and "Traceback" not in captured.err
+
 
 class TestSpectrumCommand:
     def test_bright_fringe_shows_sidebands(self, capsys):
@@ -163,11 +183,27 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("order", ["171", "100000"])
     def test_order_above_cap_is_a_parameter_error(self, capsys, order):
-        # 171! overflows a float inside the Bessel series
+        # the cap bounds the transform size and the number of output rows
         assert main(["spectrum", "--order", order]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: order") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("order", ["5", "-3"])
+    def test_order_too_low_is_a_parameter_error(self, capsys, order):
+        assert main(["spectrum", "--order", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: order") and "Traceback" not in captured.err
+
+    def test_drive_beyond_small_signal_regime_runs(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            "[alice]\nkind = UM\nm = 2.0\npsi = 0.0\n\n[bob]\nkind = PM\nm = 0.05\npsi = 0.0\n",
+        )
+        assert main(["spectrum", "--config", path]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) - 1 == 2 * 14 + 1  # default order ceil(3 * 2.0) + 8
 
 
 class TestTable2Command:

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given
@@ -14,7 +16,7 @@ from fcqkd import (
     make_modulator,
     small_signal_error,
 )
-from fcqkd.harmonics import bessel_j, default_order, exact_modulator_spectrum, propagate_spectrum
+from fcqkd.harmonics import default_order, exact_modulator_spectrum
 from fcqkd.modulator import band_amplitudes
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
@@ -24,38 +26,39 @@ def link(phase=0.0, loss=1.0):
     return LinkSpec(rf_frequency=1.0, link_phase=phase, loss=loss)
 
 
+def assert_jacobi_anger(x):
+    """A PM driven at x has harmonics j^k J_k(x), negative orders included."""
+    spectrum = exact_modulator_spectrum(make_modulator(PM, x))
+    for k in range(-spectrum.order, spectrum.order + 1):
+        assert spectrum.amp(k) == pytest.approx(
+            1j**k * float(scipy.special.jv(k, x)), rel=1e-12, abs=1e-14
+        )
+
+
 class TestBessel:
+    """The PM spectrum holds the Bessel values of the Jacobi-Anger expansion."""
+
     def test_at_zero(self):
-        assert bessel_j(0, 0.0) == 1.0
-        assert bessel_j(1, 0.0) == 0.0
-        assert bessel_j(5, 0.0) == 0.0
+        spectrum = exact_modulator_spectrum(make_modulator(PM, 0.0))
+        assert spectrum.amp(0) == 1.0
+        assert spectrum.amp(1) == 0.0
+        assert spectrum.amp(5) == 0.0
 
     def test_first_order_small_argument(self):
         # hand-summed series: (x/2) * (1 - (x^2/4)/2 + (x^2/4)^2/12 - ...)
         q = 0.1 * 0.1 / 4
         by_hand = 0.05 * (1 - q / 2 + q * q / 12 - q**3 / 144)
         assert by_hand == pytest.approx(0.049937526, abs=1e-9)
-        assert bessel_j(1, 0.1) == pytest.approx(0.049937526, abs=1e-9)
+        j1 = exact_modulator_spectrum(make_modulator(PM, 0.1)).amp(1) / 1j
+        assert j1 == pytest.approx(0.049937526, abs=1e-9)
 
-    def test_domain_clamp(self):
-        with pytest.raises(InvalidParameterError):
-            bessel_j(0, 1.6)
-        with pytest.raises(InvalidParameterError):
-            bessel_j(2, -2.0)
-        bessel_j(3, 1.5)  # boundary is allowed
+    def test_beyond_former_clamp(self):
+        for x in (1.6, 2.0, 20.0):
+            assert_jacobi_anger(x)
 
-    @given(st.integers(min_value=-8, max_value=8),
-           st.floats(min_value=0.0, max_value=1.5, allow_nan=False))
-    def test_negative_order_parity(self, k, x):
-        sign = -1.0 if k % 2 else 1.0
-        assert bessel_j(-k, x) == pytest.approx(sign * bessel_j(k, x), abs=1e-16)
-
-    @given(st.integers(min_value=0, max_value=10),
-           st.floats(min_value=-1.5, max_value=1.5, allow_nan=False))
-    def test_against_scipy(self, k, x):
-        assert bessel_j(k, x) == pytest.approx(
-            float(scipy.special.jv(k, x)), rel=1e-12, abs=1e-14
-        )
+    @given(st.floats(min_value=0.0, max_value=20.0, allow_nan=False))
+    def test_against_scipy(self, x):
+        assert_jacobi_anger(x)
 
 
 class TestModulatorSpectrum:
@@ -129,9 +132,37 @@ class TestTandemSpectrum:
         alice = make_modulator(UM, 0.2, 0.5, 0.9)
         ln = link(0.7, 0.6)
         tandem = exact_tandem_spectrum(alice, make_modulator(PM, 0.0), ln)
-        solo = propagate_spectrum(exact_modulator_spectrum(alice, tandem.order), ln)
+        solo = exact_modulator_spectrum(alice, tandem.order)
         for k in range(-tandem.order, tandem.order + 1):
-            assert tandem.amp(k) == solo.amp(k)
+            propagated = math.sqrt(ln.loss) * cmath.exp(-1j * k * ln.link_phase) * solo.amp(k)
+            assert tandem.amp(k) == pytest.approx(propagated, abs=1e-15)
+
+    def test_against_bessel_convolution(self):
+        # reference: each factor built from scipy's J_k at three times the
+        # order, the span applied per harmonic, then convolved directly
+        def factor(mod, order):
+            k = np.arange(-order, order + 1)
+            return (1j**k) * np.exp(1j * k * mod.phi) * (
+                mod.eps1 * scipy.special.jv(k, mod.m1) * cmath.exp(1j * mod.psi)
+                + mod.eps2 * scipy.special.jv(k, -mod.m2) * cmath.exp(-1j * mod.psi)
+            )
+
+        rng = np.random.default_rng(2014)
+        pairs = [(a, b) for a in (PM, AM, UM) for b in (PM, AM, UM)]
+        cases = [
+            (*pairs[i % 9], rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.5)) for i in range(191)
+        ] + [(a, b, 20.0, rng.uniform(0.0, 20.0)) for a, b in pairs]
+        for alice_kind, bob_kind, m_a, m_b in cases:
+            alice = make_modulator(alice_kind, m_a, *rng.uniform(-math.pi, math.pi, 2))
+            bob = make_modulator(bob_kind, m_b, *rng.uniform(-math.pi, math.pi, 2))
+            ln = link(rng.uniform(-math.pi, math.pi), rng.uniform(0.05, 1.0))
+            spectrum = exact_tandem_spectrum(alice, bob, ln)
+            n, wide = spectrum.order, 3 * spectrum.order
+            k = np.arange(-wide, wide + 1)
+            a = math.sqrt(ln.loss) * np.exp(-1j * k * ln.link_phase) * factor(alice, wide)
+            reference = np.convolve(a, factor(bob, wide))[2 * wide - n : 2 * wide + n + 1]
+            got = np.array([spectrum.amp(j) for j in range(-n, n + 1)])
+            assert np.max(np.abs(got - reference)) <= 1e-14
 
     def test_extinction_point_residuals(self):
         # opposed-drive UM-PM pairing at the dark fringe: the first
@@ -145,6 +176,14 @@ class TestTandemSpectrum:
         assert spectrum.power(1) <= 2.6e-6
         assert spectrum.power(2) == pytest.approx(9.7616e-8, rel=1e-3)
         assert spectrum.power(-2) == pytest.approx(9.7616e-8, rel=1e-3)
+
+    def test_tail_rule_rejects_a_low_order(self):
+        # in-phase PM drives add to an index of 3; at order 10 the bins
+        # beyond it hold 6.5e-12 of the power, above the 1e-12 rule
+        alice, bob = make_modulator(PM, 1.5), make_modulator(PM, 1.5)
+        with pytest.raises(TruncationError):
+            exact_tandem_spectrum(alice, bob, link(), order=10)
+        assert exact_tandem_spectrum(alice, bob, link(), order=11).order == 11
 
     def test_default_order_scales_with_drive(self):
         assert default_order(make_modulator(PM, 0.1)) == 9

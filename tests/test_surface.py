@@ -24,7 +24,7 @@ BENCH_CONTRACT = {
         "LinkSpec", "interference_coeffs", "phase_offset", "sideband_powers",
         "sideband_powers_direct",
     ],
-    "harmonics": ["bessel_j", "exact_tandem_spectrum"],
+    "harmonics": ["exact_tandem_spectrum"],
     "verification": ["survey_all"],
     "protocols": ["check_protocol", "classify_pair", "compare_row_with_reference"],
     "montecarlo": ["SessionConfig", "run_session", "qber_vs_offset"],
