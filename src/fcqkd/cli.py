@@ -161,16 +161,6 @@ def cmd_spectrum(
     return EXIT_OK
 
 
-def _feasibility_json(feas) -> dict:
-    return {
-        "protocol": feas.protocol,
-        "feasible": feas.feasible,
-        "bias_constraint": feas.bias_constraint,
-        "index_ratio": feas.index_ratio,
-        "failure_reason": feas.failure_reason,
-    }
-
-
 def _row_json(row: ClassificationRow) -> dict:
     return {
         "alice": row.alice_kind.value,
@@ -180,8 +170,8 @@ def _row_json(row: ClassificationRow) -> dict:
         "reference_bias": list(row.reference_bias),
         "theta_at_reference": row.theta_at_reference,
         "ratio_at_reference": row.ratio_at_reference,
-        "b92": _feasibility_json(row.b92),
-        "bb84": _feasibility_json(row.bb84),
+        "b92": dataclasses.asdict(row.b92),
+        "bb84": dataclasses.asdict(row.bb84),
     }
 
 

@@ -63,7 +63,12 @@ class HarmonicSpectrum:
 def default_order(*mods: ModulatorSpec) -> int:
     """Truncation order with comfortable headroom for the given drives."""
     m_max = max((max(m.m1, m.m2) for m in mods), default=0.0)
-    return math.ceil(3.0 * m_max) + 8
+    order = math.ceil(3.0 * m_max) + 8
+    if order > MAX_ORDER:
+        raise InvalidParameterError(
+            f"drive index {m_max} needs order {order}, above the supported maximum {MAX_ORDER}"
+        )
+    return order
 
 
 def _require_order(order: int, *mods: ModulatorSpec) -> None:

@@ -92,26 +92,27 @@ def cascade(alice_prop: ThreeBandField, bob: ThreeBandField) -> ThreeBandField:
     )
 
 
-def _arms(mod: ModulatorSpec) -> tuple[float, float, float, float, float]:
-    """The (eps1, eps2, m1, m2, psi) a modulator's interference terms depend on."""
-    return mod.eps1, mod.eps2, mod.m1, mod.m2, mod.psi
+def _arms(mod: ModulatorSpec) -> tuple[float, float, float, float, complex]:
+    """The (eps1, eps2, m1, m2, e^{j psi}) a modulator's interference terms depend on."""
+    return mod.eps1, mod.eps2, mod.m1, mod.m2, cmath.exp(1j * mod.psi)
 
 
 def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, bool]:
-    """Interference coefficients and zero flags of two (eps1, eps2, m1, m2, psi) sides.
+    """Interference coefficients and zero flags of two (eps1, eps2, m1, m2, e^{j psi}) sides.
 
-    A coefficient is treated as an analytic zero when it is below 1e-12 of
-    its a-priori scale |carrier| * |sideband| <= (eps1 + eps2) *
-    (eps1 m1 + eps2 m2) / 2: biases like pi/2 land within one ulp of the
-    exact null, where the value carries no phase information.
+    Arrays of bias phasors give arrays.  A coefficient is treated as an
+    analytic zero when it is below 1e-12 of its a-priori scale
+    |carrier| * |sideband| <= (eps1 + eps2) * (eps1 m1 + eps2 m2) / 2: biases
+    like pi/2 land within one ulp of the exact null, where the value carries
+    no phase information.
     """
-    a_eps1, a_eps2, a_m1, a_m2, a_psi = alice
-    b_eps1, b_eps2, b_m1, b_m2, b_psi = bob
-    a = carrier_amplitude(b_eps1, b_eps2, b_psi) * sideband_factor(
-        a_eps1, a_eps2, a_m1, a_m2, a_psi
+    a_eps1, a_eps2, a_m1, a_m2, a_u = alice
+    b_eps1, b_eps2, b_m1, b_m2, b_u = bob
+    a = carrier_amplitude(b_eps1, b_eps2, b_u) * sideband_factor(
+        a_eps1, a_eps2, a_m1, a_m2, a_u
     )
-    b = carrier_amplitude(a_eps1, a_eps2, a_psi) * sideband_factor(
-        b_eps1, b_eps2, b_m1, b_m2, b_psi
+    b = carrier_amplitude(a_eps1, a_eps2, a_u) * sideband_factor(
+        b_eps1, b_eps2, b_m1, b_m2, b_u
     )
     scale_a = (b_eps1 + b_eps2) * 0.5 * (a_eps1 * a_m1 + a_eps2 * a_m2)
     scale_b = (a_eps1 + a_eps2) * 0.5 * (b_eps1 * b_m1 + b_eps2 * b_m2)

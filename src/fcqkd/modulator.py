@@ -158,25 +158,26 @@ def bias_phase_from_voltage(v_dc: float, v_pi: float) -> float:
     return math.pi * v_dc / (2.0 * v_pi)
 
 
-def carrier_amplitude(eps1: float, eps2: float, psi: float) -> complex:
-    """Carrier transmission eps1*e^{j psi} + eps2*e^{-j psi}."""
-    return eps1 * cmath.exp(1j * psi) + eps2 * cmath.exp(-1j * psi)
+def carrier_amplitude(eps1: float, eps2: float, u):
+    """Carrier transmission eps1*u + eps2*conj(u); u = e^{j psi}, a number or an array."""
+    return eps1 * u + eps2 * u.conjugate()
 
 
-def sideband_factor(eps1: float, eps2: float, m1: float, m2: float, psi: float) -> complex:
-    """Common first-order sideband amplitude (j/2)(eps1 m1 e^{j psi} - eps2 m2 e^{-j psi}).
+def sideband_factor(eps1: float, eps2: float, m1: float, m2: float, u):
+    """First-order sideband amplitude (j/2)(eps1 m1 u - eps2 m2 conj(u)), u = e^{j psi}.
 
     The RF phase is not included; the upper/lower sidebands carry an extra
     exp(+/-j phi) on top of this factor.
     """
-    return 0.5j * (eps1 * m1 * cmath.exp(1j * psi) - eps2 * m2 * cmath.exp(-1j * psi))
+    return 0.5j * (eps1 * m1 * u - eps2 * m2 * u.conjugate())
 
 
 def band_amplitudes(mod: ModulatorSpec) -> ThreeBandField:
     """First-order three-band output field of a single modulator."""
-    s = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, mod.psi)
+    u = cmath.exp(1j * mod.psi)
+    s = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, u)
     return ThreeBandField(
-        carrier=carrier_amplitude(mod.eps1, mod.eps2, mod.psi),
+        carrier=carrier_amplitude(mod.eps1, mod.eps2, u),
         lower=s * cmath.exp(-1j * mod.phi),
         upper=s * cmath.exp(1j * mod.phi),
     )

@@ -11,8 +11,10 @@ those conditions the counters follow
 with dphi = phi_b - phi_a + link_phase + offset.
 
 :func:`classify_pair` derives feasibility, bias constraints and required
-index ratios purely numerically from the interference coefficients.  The
-module also embeds an independently hand-derived reference table
+index ratios purely numerically from the interference coefficients.  Each
+candidate bias set is classified as arrays in one coefficient evaluation;
+every number that is reported comes from the scalar evaluation at its
+point.  The module also embeds an independently hand-derived reference table
 (``REFERENCE_TABLE``) of closed-form expressions per pairing, used by the
 ``table2`` CLI command and the acceptance suite to cross-check the
 numeric classification.
@@ -20,12 +22,15 @@ numeric classification.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import InvalidParameterError
-from .link import _coefficients, phase_offset, wrap_to_pi
+import numpy as np
+
+from .errors import InvalidParameterError, PhaseUndefinedError
+from .link import _coefficients, phase_offset
 from .modulator import _COUPLING, ModulatorKind, ModulatorSpec, _require_finite
 
 B92 = "B92"
@@ -78,43 +83,48 @@ def _required_shift(protocol: str) -> float:
     raise InvalidParameterError(f"unknown protocol {protocol!r}, expected B92 or BB84")
 
 
-def _theta_distance(offset: float, shift: float) -> float:
-    """Distance of the offset from the phase class ``shift`` mod pi."""
-    return abs(math.remainder(offset - shift, math.pi))
-
-
-def _unit_coeffs(alice_kind, bob_kind, psi_a, psi_b):
-    """Coefficients and zero flags at unit drive index, from the coupling table."""
+def _unit_coeffs(alice_kind, bob_kind, u_a, u_b):
+    """Coefficients and zero flags at unit drive index for bias phasors e^{j psi}."""
     a_eps1, a_eps2, a_share = _COUPLING[alice_kind]
     b_eps1, b_eps2, b_share = _COUPLING[bob_kind]
     return _coefficients(
-        (a_eps1, a_eps2, 1.0, a_share, psi_a), (b_eps1, b_eps2, 1.0, b_share, psi_b)
+        (a_eps1, a_eps2, 1.0, a_share, u_a), (b_eps1, b_eps2, 1.0, b_share, u_b)
     )
 
 
-def _verdict(coeffs, protocol: str, tol: float = THETA_TOL) -> ProtocolFeasibility:
-    shift = _required_shift(protocol)
+def _coeffs_at(alice_kind, bob_kind, psi_a: float, psi_b: float):
+    """Scalar coefficients at one bias pair; every reported number comes from here."""
+    return _unit_coeffs(alice_kind, bob_kind, cmath.exp(1j * psi_a), cmath.exp(1j * psi_b))
+
+
+def _in_class(coeffs, shift: float, tol: float = THETA_TOL):
+    """Elementwise: both coefficients alive and arg b - arg a within ``tol`` of ``shift`` mod pi.
+
+    z = b conj(a) e^{-j shift} has argument arg b - arg a - shift, which is
+    within tol of a multiple of pi exactly when |Im z| <= tan(tol) |Re z|.
+    """
     a, b, a_zero, b_zero = coeffs
-    if a_zero or b_zero:
-        return ProtocolFeasibility(protocol, False, "as-configured", None, "zero-visibility")
-    if _theta_distance(phase_offset(a, b), shift) > tol:
-        return ProtocolFeasibility(protocol, False, "as-configured", None, "theta-mismatch")
-    return ProtocolFeasibility(protocol, True, "as-configured", abs(b) / abs(a), "none")
+    z = b * a.conjugate() * cmath.exp(-1j * shift)
+    return np.logical_not(a_zero | b_zero) & (abs(z.imag) <= math.tan(tol) * abs(z.real))
 
 
-def check_protocol(
-    alice: ModulatorSpec, bob: ModulatorSpec, protocol: str
-) -> ProtocolFeasibility:
+def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> ProtocolFeasibility:
     """Verdict for ``protocol`` at the given biases; the drive indices are free."""
-    return _verdict(_unit_coeffs(alice.kind, bob.kind, alice.psi, bob.psi), protocol)
+    shift = _required_shift(protocol)
+    a, b, a_zero, b_zero = coeffs = _coeffs_at(alice.kind, bob.kind, alice.psi, bob.psi)
+    if _in_class(coeffs, shift):
+        return ProtocolFeasibility(protocol, True, "as-configured", abs(b) / abs(a), "none")
+    reason = "zero-visibility" if a_zero or b_zero else "theta-mismatch"
+    return ProtocolFeasibility(protocol, False, "as-configured", None, reason)
 
 
 # --- bias-constraint families --------------------------------------------
 #
 # Candidate bias families probed by classify_pair, in order of preference.
-# Each maps (free bias t, integer n) -> (psi_a, psi_b).
+# Each maps (free bias t, integer n) -> (psi_a, psi_b), for numbers or for
+# broadcastable arrays alike.
 
-_N_RANGE = (-2, -1, 0, 1, 2)
+_N_RANGE = np.arange(-2, 3)
 
 
 class _Family(NamedTuple):
@@ -135,55 +145,38 @@ _ZERO_VIS_FAMILIES = (
 )
 
 
-def _require_grid(psi_grid: list[float]) -> None:
-    """Reject an empty bias grid or one with a non-finite bias."""
+def _bias_grid(psi_grid: list[float]) -> np.ndarray:
+    """The bias grid as an array; rejects an empty grid or a non-finite bias."""
     if not psi_grid:
         raise InvalidParameterError("psi_grid must be non-empty")
-    for psi in psi_grid:
-        _require_finite("psi", psi)
+    return np.array([_require_finite("psi", psi) for psi in psi_grid])
 
 
-def _feasibility_on(alice_kind, bob_kind, protocol, points):
-    return [
-        _verdict(_unit_coeffs(alice_kind, bob_kind, pa, pb), protocol) for pa, pb in points
-    ]
+def _classify_protocol(alice_kind, bob_kind, protocol: str, psi: np.ndarray):
+    shift = _required_shift(protocol)
+    lattice = (psi[:, None], _N_RANGE)
 
+    def coeffs(pa, pb):
+        return _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
 
-def _classify_protocol(
-    alice_kind: ModulatorKind,
-    bob_kind: ModulatorKind,
-    protocol: str,
-    psi_grid: list[float],
-) -> ProtocolFeasibility:
-    grid_points = [(pa, pb) for pa in psi_grid for pb in psi_grid]
-    verdicts = _feasibility_on(alice_kind, bob_kind, protocol, grid_points)
-    if all(v.feasible for v in verdicts):
-        ratio = verdicts[len(verdicts) // 3].index_ratio
-        return ProtocolFeasibility(protocol, True, "any", ratio, "none")
-
-    for family in _FEASIBLE_FAMILIES:
-        points = [family.points(t, n) for t in psi_grid for n in _N_RANGE]
-        family_verdicts = _feasibility_on(alice_kind, bob_kind, protocol, points)
-        if all(v.feasible for v in family_verdicts):
-            ratio = family_verdicts[len(family_verdicts) // 3].index_ratio
-            return ProtocolFeasibility(protocol, True, family.label, ratio, "none")
+    # The whole grid first, then each family's (t, n) lattice, row-major.
+    candidates = [("any", (psi[:, None], psi))]
+    candidates += [(family.label, family.points(*lattice)) for family in _FEASIBLE_FAMILIES]
+    for label, points in candidates:
+        pa, pb = np.broadcast_arrays(*points)
+        if _in_class(coeffs(pa, pb), shift).all():
+            k = pa.size // 3
+            _, ratio = evaluate_pair(alice_kind, bob_kind, pa.flat[k], pb.flat[k])
+            return ProtocolFeasibility(protocol, True, label, ratio, "none")
 
     # Infeasible: decide whether the phase-offset condition is unreachable
     # outright, or reachable only on a bias locus where a coefficient dies.
     for family in _ZERO_VIS_FAMILIES:
-        on_locus = [family.points(t, n) for t in psi_grid for n in _N_RANGE]
-        locus_verdicts = _feasibility_on(alice_kind, bob_kind, protocol, on_locus)
-        if not all(v.failure_reason == "zero-visibility" for v in locus_verdicts):
-            continue
+        pa, pb = family.points(*lattice)
+        _, _, a_zero, b_zero = coeffs(pa, pb)
         # Just off the locus the offset must approach the required class.
-        near = [(pa + 1e-6, pb + 1e-6) for pa, pb in on_locus]
-        if all(
-            _verdict(_unit_coeffs(alice_kind, bob_kind, pa, pb), protocol, tol=1e-3).feasible
-            for pa, pb in near
-        ):
-            return ProtocolFeasibility(
-                protocol, False, family.label, None, "zero-visibility"
-            )
+        if np.all(a_zero | b_zero) and _in_class(coeffs(pa + 1e-6, pb + 1e-6), shift, 1e-3).all():
+            return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
     return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
 
 
@@ -200,12 +193,12 @@ def classify_pair(
     coefficients; the canonical labels come from the reference table for
     readability only.
     """
-    _require_grid(psi_grid)
-    b92 = _classify_protocol(alice_kind, bob_kind, B92, psi_grid)
-    bb84 = _classify_protocol(alice_kind, bob_kind, BB84, psi_grid)
+    psi = _bias_grid(psi_grid)
+    b92 = _classify_protocol(alice_kind, bob_kind, B92, psi)
+    bb84 = _classify_protocol(alice_kind, bob_kind, BB84, psi)
 
     ref_bias = (psi_grid[len(psi_grid) // 3], psi_grid[(2 * len(psi_grid)) // 3])
-    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, *ref_bias)
+    a, b, a_zero, b_zero = _coeffs_at(alice_kind, bob_kind, *ref_bias)
     theta_ref = math.nan if (a_zero or b_zero) else phase_offset(a, b)
     ratio_ref = math.inf if a_zero else abs(b) / abs(a)
 
@@ -259,21 +252,21 @@ REFERENCE_TABLE: dict[tuple[ModulatorKind, ModulatorKind], ReferenceRow] = {
         theta_label="psi_b - psi_a",
         ratio_label="|cos(psi_a)/cos(psi_b)|",
         theta=lambda pa, pb: pb - pa,
-        ratio=lambda pa, pb: abs(math.cos(pa) / math.cos(pb)),
+        ratio=lambda pa, pb: abs(np.cos(pa) / np.cos(pb)),
         b92=ReferenceVerdict(True, "psi_b = psi_a + n*pi", "none", lambda pa, pb: 1.0),
         bb84=ReferenceVerdict(
             True,
             "psi_b = psi_a + (2n+1)*pi/2",
             "none",
-            lambda pa, pb: abs(math.cos(pa) / math.sin(pa)),
+            lambda pa, pb: abs(np.cos(pa) / np.sin(pa)),
         ),
     ),
     (_AM, _AM): ReferenceRow(
         theta_label="0",
         ratio_label="|tan(psi_b)/tan(psi_a)|",
         theta=lambda pa, pb: 0.0,
-        ratio=lambda pa, pb: abs(math.tan(pb) / math.tan(pa)),
-        b92=ReferenceVerdict(True, "any", "none", lambda pa, pb: abs(math.tan(pb) / math.tan(pa))),
+        ratio=lambda pa, pb: abs(np.tan(pb) / np.tan(pa)),
+        b92=ReferenceVerdict(True, "any", "none", lambda pa, pb: abs(np.tan(pb) / np.tan(pa))),
         bb84=ReferenceVerdict(False, "none", "theta-mismatch", None),
     ),
     (_PM, _PM): ReferenceRow(
@@ -288,23 +281,23 @@ REFERENCE_TABLE: dict[tuple[ModulatorKind, ModulatorKind], ReferenceRow] = {
         theta_label="pi/2",
         ratio_label="|tan(psi_b)|",
         theta=lambda pa, pb: 0.5 * math.pi,
-        ratio=lambda pa, pb: abs(math.tan(pb)),
+        ratio=lambda pa, pb: abs(np.tan(pb)),
         b92=ReferenceVerdict(False, "none", "theta-mismatch", None),
-        bb84=ReferenceVerdict(True, "any", "none", lambda pa, pb: abs(math.tan(pb))),
+        bb84=ReferenceVerdict(True, "any", "none", lambda pa, pb: abs(np.tan(pb))),
     ),
     (_AM, _PM): ReferenceRow(
         theta_label="-pi/2",
         ratio_label="1/|tan(psi_a)|",
         theta=lambda pa, pb: -0.5 * math.pi,
-        ratio=lambda pa, pb: 1.0 / abs(math.tan(pa)),
+        ratio=lambda pa, pb: 1.0 / abs(np.tan(pa)),
         b92=ReferenceVerdict(False, "none", "theta-mismatch", None),
-        bb84=ReferenceVerdict(True, "any", "none", lambda pa, pb: 1.0 / abs(math.tan(pa))),
+        bb84=ReferenceVerdict(True, "any", "none", lambda pa, pb: 1.0 / abs(np.tan(pa))),
     ),
     (_UM, _PM): ReferenceRow(
         theta_label="-psi_a",
         ratio_label="2*|cos(psi_a)|",
         theta=lambda pa, pb: -pa,
-        ratio=lambda pa, pb: 2.0 * abs(math.cos(pa)),
+        ratio=lambda pa, pb: 2.0 * abs(np.cos(pa)),
         b92=ReferenceVerdict(True, "psi_a = n*pi", "none", lambda pa, pb: 2.0),
         bb84=ReferenceVerdict(False, "psi_a = (2n+1)*pi/2", "zero-visibility", None),
     ),
@@ -312,7 +305,7 @@ REFERENCE_TABLE: dict[tuple[ModulatorKind, ModulatorKind], ReferenceRow] = {
         theta_label="psi_b",
         ratio_label="1/(2*|cos(psi_b)|)",
         theta=lambda pa, pb: pb,
-        ratio=lambda pa, pb: 1.0 / (2.0 * abs(math.cos(pb))),
+        ratio=lambda pa, pb: 1.0 / (2.0 * abs(np.cos(pb))),
         b92=ReferenceVerdict(True, "psi_b = n*pi", "none", lambda pa, pb: 0.5),
         bb84=ReferenceVerdict(False, "psi_b = (2n+1)*pi/2", "zero-visibility", None),
     ),
@@ -320,20 +313,20 @@ REFERENCE_TABLE: dict[tuple[ModulatorKind, ModulatorKind], ReferenceRow] = {
         theta_label="pi/2 - psi_a",
         ratio_label="2*|cos(psi_a)*tan(psi_b)|",
         theta=lambda pa, pb: 0.5 * math.pi - pa,
-        ratio=lambda pa, pb: 2.0 * abs(math.cos(pa) * math.tan(pb)),
+        ratio=lambda pa, pb: 2.0 * abs(np.cos(pa) * np.tan(pb)),
         b92=ReferenceVerdict(False, "psi_a = (2n+1)*pi/2", "zero-visibility", None),
         bb84=ReferenceVerdict(
-            True, "psi_a = n*pi", "none", lambda pa, pb: 2.0 * abs(math.tan(pb))
+            True, "psi_a = n*pi", "none", lambda pa, pb: 2.0 * abs(np.tan(pb))
         ),
     ),
     (_AM, _UM): ReferenceRow(
         theta_label="psi_b - pi/2",
         ratio_label="1/(2*|tan(psi_a)*cos(psi_b)|)",
         theta=lambda pa, pb: pb - 0.5 * math.pi,
-        ratio=lambda pa, pb: 1.0 / (2.0 * abs(math.tan(pa) * math.cos(pb))),
+        ratio=lambda pa, pb: 1.0 / (2.0 * abs(np.tan(pa) * np.cos(pb))),
         b92=ReferenceVerdict(False, "psi_b = (2n+1)*pi/2", "zero-visibility", None),
         bb84=ReferenceVerdict(
-            True, "psi_b = n*pi", "none", lambda pa, pb: 1.0 / (2.0 * abs(math.tan(pa)))
+            True, "psi_b = n*pi", "none", lambda pa, pb: 1.0 / (2.0 * abs(np.tan(pa)))
         ),
     ),
 }
@@ -351,13 +344,25 @@ ROW_ORDER: tuple[tuple[ModulatorKind, ModulatorKind], ...] = (
 )
 
 
+def _null_error(alice_kind, bob_kind, psi_a, psi_b) -> PhaseUndefinedError:
+    return PhaseUndefinedError(
+        f"{alice_kind.value}-{bob_kind.value}: an interference coefficient vanishes at "
+        f"psi=({psi_a:.6f},{psi_b:.6f}); phase offset and index ratio undefined"
+    )
+
+
 def evaluate_pair(
     alice_kind: ModulatorKind, bob_kind: ModulatorKind, psi_a: float, psi_b: float
 ) -> tuple[float, float]:
-    """Numeric (phase offset, unit-visibility index ratio) at given biases."""
-    _require_finite("psi_a", psi_a)
-    _require_finite("psi_b", psi_b)
-    a, b, _, _ = _unit_coeffs(alice_kind, bob_kind, psi_a, psi_b)
+    """Numeric (phase offset, unit-visibility index ratio) at given biases.
+
+    Raises :class:`PhaseUndefinedError` where a coefficient vanishes.
+    """
+    psi_a = _require_finite("psi_a", psi_a)
+    psi_b = _require_finite("psi_b", psi_b)
+    a, b, a_zero, b_zero = _coeffs_at(alice_kind, bob_kind, psi_a, psi_b)
+    if a_zero or b_zero:
+        raise _null_error(alice_kind, bob_kind, psi_a, psi_b)
     return phase_offset(a, b), abs(b) / abs(a)
 
 
@@ -373,45 +378,40 @@ def compare_row_with_reference(
     Checks the phase offset and index ratio over ``psi_grid`` x ``psi_grid``
     (expected on the principal branch) plus feasibility verdicts,
     constraints and failure reasons.  An empty list means full agreement.
+    A grid or constrained point where a coefficient vanishes raises
+    :class:`PhaseUndefinedError`.
     """
-    _require_grid(psi_grid)
+    psi = _bias_grid(psi_grid)
+    pa, pb = np.broadcast_arrays(psi[:, None], psi)
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     name = f"{alice_kind.value}-{bob_kind.value}"
+    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
+    null = np.flatnonzero(a_zero | b_zero)
+    if null.size:
+        raise _null_error(alice_kind, bob_kind, pa.flat[null[0]], pb.flat[null[0]])
+    dev = np.abs(np.angle(b * a.conjugate() * np.exp(-1j * ref.theta(pa, pb))))
+    theta_bad = dev > tol
+    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(pa, pb) - 1.0) > tol
     failures: list[str] = []
-    for pa in psi_grid:
-        for pb in psi_grid:
-            theta_num, ratio_num = evaluate_pair(alice_kind, bob_kind, pa, pb)
-            dev = abs(wrap_to_pi(theta_num - ref.theta(pa, pb)))
-            if dev > tol:
-                failures.append(
-                    f"{name}: theta deviates {dev:.3e} at psi=({pa:.6f},{pb:.6f})"
-                )
-            ratio_ref = ref.ratio(pa, pb)
-            if abs(ratio_num / ratio_ref - 1.0) > tol:
-                failures.append(
-                    f"{name}: ratio deviates at psi=({pa:.6f},{pb:.6f})"
-                )
+    for k in np.flatnonzero(theta_bad | ratio_bad):
+        at = f"psi=({pa.flat[k]:.6f},{pb.flat[k]:.6f})"
+        if theta_bad.flat[k]:
+            failures.append(f"{name}: theta deviates {dev.flat[k]:.3e} at {at}")
+        if ratio_bad.flat[k]:
+            failures.append(f"{name}: ratio deviates at {at}")
     for proto, got, expect in (("B92", row.b92, ref.b92), ("BB84", row.bb84, ref.bb84)):
-        if got.feasible != expect.feasible:
-            failures.append(f"{name}/{proto}: feasible={got.feasible}, expected {expect.feasible}")
-        if got.bias_constraint != expect.constraint:
-            failures.append(
-                f"{name}/{proto}: constraint={got.bias_constraint!r}, "
-                f"expected {expect.constraint!r}"
-            )
-        if got.failure_reason != expect.failure_reason:
-            failures.append(
-                f"{name}/{proto}: reason={got.failure_reason!r}, "
-                f"expected {expect.failure_reason!r}"
-            )
+        checks = (
+            ("feasible", got.feasible, expect.feasible),
+            ("constraint", got.bias_constraint, expect.constraint),
+            ("reason", got.failure_reason, expect.failure_reason),
+        )
+        failures += [f"{name}/{proto}: {k}={g!r}, expected {w!r}" for k, g, w in checks if g != w]
         if expect.feasible and expect.constrained_ratio is not None:
             for t in (psi_grid[0], psi_grid[len(psi_grid) // 2], psi_grid[-1]):
                 pa, pb = _constrained_point(expect.constraint, t)
                 _, ratio_num = evaluate_pair(alice_kind, bob_kind, pa, pb)
                 if abs(ratio_num / expect.constrained_ratio(pa, pb) - 1.0) > tol:
-                    failures.append(
-                        f"{name}/{proto}: constrained ratio mismatch at t={t:.6f}"
-                    )
+                    failures.append(f"{name}/{proto}: constrained ratio mismatch at t={t:.6f}")
     return failures
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -205,8 +206,31 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) - 1 == 2 * 14 + 1  # default order ceil(3 * 2.0) + 8
 
+    @pytest.mark.parametrize("m, needed", [("55.0", 173), ("1e6", 3000008)])
+    def test_drive_beyond_highest_order_names_the_drive(self, tmp_path, capsys, m, needed):
+        path = write_config(
+            tmp_path,
+            f"[alice]\nkind = UM\nm = {m}\npsi = 0.0\n\n[bob]\nkind = PM\nm = 0.05\npsi = 0.0\n",
+        )
+        assert main(["spectrum", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: drive index {float(m)} needs order {needed}, "
+            "above the supported maximum 170\n"
+        )
+        # an explicit order still gets the order message
+        assert main(["spectrum", "--config", path, "--order", "171"]) == 2
+        assert capsys.readouterr().err == "error: order 171 above the supported maximum 170\n"
+
 
 class TestTable2Command:
+    def test_output_matches_golden_run(self, capsys):
+        # reported values come from scalar evaluation, so every digit is pinned
+        golden = (pathlib.Path(__file__).parent / "data" / "table2.json").read_text()
+        assert main(["table2"]) == 0
+        assert capsys.readouterr().out == golden
+
     def test_passes_against_reference(self, capsys):
         assert main(["table2"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -1,6 +1,10 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fcqkd import (
     B92,
@@ -9,8 +13,10 @@ from fcqkd import (
     LinkSpec,
     ModulatorKind,
     ModulatorSpec,
+    PhaseUndefinedError,
     classify_pair,
     make_modulator,
+    protocols,
     sideband_powers,
 )
 from fcqkd.protocols import (
@@ -109,6 +115,29 @@ class TestClassification:
             row = classify_pair(a, b, GRID)
             assert compare_row_with_reference(a, b, row, GRID) == []
 
+    def test_grid_mismatches_listed_point_by_point(self, monkeypatch):
+        # row-major over the grid, theta before ratio at each point
+        key = (UM, UM)
+        ref = REFERENCE_TABLE[key]
+        monkeypatch.setitem(REFERENCE_TABLE, key, dataclasses.replace(
+            ref,
+            theta=lambda pa, pb: ref.theta(pa, pb) + 0.1,
+            ratio=lambda pa, pb: ref.ratio(pa, pb) * 1.1,
+        ))
+        grid = [0.3, 0.7]
+        row = classify_pair(UM, UM, grid)
+        grid_failures = [
+            f for f in compare_row_with_reference(UM, UM, row, grid) if "deviates" in f
+        ]
+        expected = []
+        for pa in grid:
+            for pb in grid:
+                expected += [
+                    f"UM-UM: theta deviates 1.000e-01 at psi=({pa:.6f},{pb:.6f})",
+                    f"UM-UM: ratio deviates at psi=({pa:.6f},{pb:.6f})",
+                ]
+        assert grid_failures == expected
+
     def test_ratio_formulas_hold_beyond_principal_branch(self):
         # |.| ratio forms stay valid on (0, pi) away from the pi/2 poles
         wide = [0.15, 0.6, 1.1, 1.9, 2.4, 2.9]
@@ -155,6 +184,77 @@ class TestClassification:
             row = classify_pair(a, b, GRID)
             assert compare_row_with_reference(a, b, row, GRID) == []
         assert built == []
+
+    def test_one_verdict_per_protocol(self, monkeypatch):
+        built = []
+        original = protocols.ProtocolFeasibility
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(protocols, "ProtocolFeasibility", counting)
+        for a, b in ROW_ORDER:
+            row = classify_pair(a, b, GRID)
+            assert len(built) <= 2
+            built.clear()
+            assert compare_row_with_reference(a, b, row, GRID) == []
+            assert built == []
+
+
+# Exact multiples of pi/2 put a coefficient at its null; other biases are
+# kept 1e-6 away from them so no point sits at the edge of the zero rule.
+_NULL_BIASES = [k * 0.5 * math.pi for k in range(-2, 3)]
+_BIAS = st.one_of(
+    st.sampled_from(_NULL_BIASES),
+    st.floats(min_value=-4.0, max_value=4.0).filter(
+        lambda x: min(abs(x - p) for p in _NULL_BIASES) > 1e-6
+    ),
+)
+
+
+class TestArrayPath:
+    @given(
+        st.sampled_from(ROW_ORDER),
+        st.sampled_from([B92, BB84]),
+        st.lists(st.tuples(_BIAS, _BIAS), min_size=1, max_size=5),
+    )
+    def test_array_coefficients_and_verdicts_match_scalar(self, pairing, protocol, points):
+        alice_kind, bob_kind = pairing
+        pa, pb = np.array(points).T
+        coeffs = protocols._unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
+        in_class = protocols._in_class(coeffs, protocols._required_shift(protocol))
+        for i, (psi_a, psi_b) in enumerate(points):
+            a, b, a_zero, b_zero = protocols._coeffs_at(alice_kind, bob_kind, psi_a, psi_b)
+            assert (coeffs[2][i], coeffs[3][i]) == (a_zero, b_zero)
+            assert abs(coeffs[0][i] - a) <= 1e-15 * abs(a)
+            assert abs(coeffs[1][i] - b) <= 1e-15 * abs(b)
+            verdict = check_protocol(
+                make_modulator(alice_kind, 0.1, psi_a), make_modulator(bob_kind, 0.1, psi_b),
+                protocol,
+            )
+            assert in_class[i] == verdict.feasible
+
+
+class TestNullRule:
+    def test_evaluate_pair_at_a_null_raises(self):
+        # UM carrier vanishes at pi/2; the ratio used to come back as 1.56e16
+        with pytest.raises(PhaseUndefinedError, match=r"UM-UM.*psi=\(0\.300000,1\.570796\)"):
+            evaluate_pair(UM, UM, 0.3, math.pi / 2)
+
+    @pytest.mark.parametrize("pairing", ROW_ORDER, ids=lambda p: f"{p[0].value}-{p[1].value}")
+    def test_reference_check_raises_or_returns(self, pairing):
+        # 0.0 is a null of AM's sideband; UM-UM's BB84 constrained point (0, pi/2)
+        # is a null of UM's carrier, where the reference ratio divides by zero.
+        alice_kind, bob_kind = pairing
+        grid = [0.0, 0.5, 1.0]
+        row = classify_pair(alice_kind, bob_kind, grid)
+        try:
+            compare_row_with_reference(alice_kind, bob_kind, row, grid)
+        except PhaseUndefinedError as exc:
+            assert f"{alice_kind.value}-{bob_kind.value}" in str(exc)
+        else:
+            assert pairing != (UM, UM)
 
 
 class TestFringeLaws:
