@@ -14,6 +14,15 @@ every coefficient to machine precision, and one FFT yields them all
 (Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
 SIAM Review 56(3), 2014; the Jacobi-Anger expansion
 exp(j*m*cos x) = sum_k j^k J_k(m) exp(j*k*x) is the identity it sums).
+
+Fields are sampled as rows on one phase grid per transform size, and one
+FFT call transforms every row at once: a small-signal error point stacks
+Alice's field, Bob's field and the tandem product, and reads the exact
+interference weights (J_0 and J_1 of each modulator) and the tandem's
+first harmonics from that one transform.  The truncation rule applies to
+each row: the power outside |k| <= order must stay below 1e-12 of the
+row's total.
+
 The same sideband conventions as the first-order model apply, so the
 k = +/-1 lines converge to the small-signal band amplitudes as the drive
 index goes to zero.  There is no domain limit on the drive index; the
@@ -24,13 +33,14 @@ model is validated against.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, TruncationError
-from .link import LinkSpec, interference_coeffs, sideband_powers
+from .errors import DegenerateConfigurationError, InvalidParameterError, TruncationError
+from .link import LinkSpec, sideband_powers
 from .modulator import ModulatorSpec
 
 # Highest truncation order: it bounds the transform size (at most 1024
@@ -84,31 +94,51 @@ def _require_order(order: int, *mods: ModulatorSpec) -> None:
         )
 
 
-def _field(mod: ModulatorSpec, theta: np.ndarray) -> np.ndarray:
-    """Two-arm output field of one modulator at the RF phases ``theta``."""
-    drive = np.cos(theta + mod.phi)
-    return mod.eps1 * np.exp(1j * (mod.psi + mod.m1 * drive)) + mod.eps2 * np.exp(
-        -1j * (mod.psi + mod.m2 * drive)
-    )
+def _field(
+    mod: ModulatorSpec, theta: np.ndarray, delay: float = 0.0, scale: float = 1.0
+) -> np.ndarray:
+    """Two-arm output field of one modulator at the RF phases ``theta``.
 
-
-def _spectrum(samples_fn, order: int) -> HarmonicSpectrum:
-    """Harmonics |k| <= order of the periodic field ``samples_fn(theta)``.
-
-    The field is sampled on 2**ceil(log2(4*order + 2)) equispaced phases;
-    the power in every transform bin outside |k| <= order must stay below
-    1e-12 of the total, or the order is too low for the drive.
+    ``delay`` retards the drive phase and ``scale`` multiplies the field;
+    both, with the bias phasor, fold into scalar coefficients first.
     """
+    u = scale * cmath.exp(1j * mod.psi)
+    drive = np.cos(theta + (mod.phi - delay))
+    return (mod.eps1 * u) * np.exp((1j * mod.m1) * drive) + (
+        mod.eps2 * u.conjugate()
+    ) * np.exp((-1j * mod.m2) * drive)
+
+
+def _phases(order: int) -> np.ndarray:
+    """The 2**ceil(log2(4*order + 2)) equispaced RF phases sampled at ``order``."""
     n = 1 << (4 * order + 1).bit_length()
-    coeffs = np.fft.fft(samples_fn(np.arange(n) * (2.0 * math.pi / n))) / n
+    return np.arange(n) * (2.0 * math.pi / n)
+
+
+def _spectrum(rows: np.ndarray, order: int) -> np.ndarray:
+    """Fourier coefficients of each row of fields sampled on ``_phases(order)``.
+
+    Harmonic k of a row sits at index k mod n.  In every row the power in
+    the bins outside |k| <= order must stay below 1e-12 of the row's total,
+    or the order is too low for the drive.
+    """
+    n = rows.shape[-1]
+    coeffs = np.fft.fft(rows, norm="forward")
     power = np.abs(coeffs) ** 2
-    total = power.sum()
-    tail = power[order + 1 : n - order].sum()
-    if total > 0 and tail > _TAIL_ENERGY_RTOL * total:
+    total = power.sum(axis=-1)
+    tail = power[:, order + 1 : n - order].sum(axis=-1)
+    short = tail > _TAIL_ENERGY_RTOL * total
+    if short.any():
         raise TruncationError(
-            f"truncated tail holds {tail / total:.3e} of the power; raise the order"
+            f"truncated tail holds {np.max(tail[short] / total[short]):.3e} "
+            "of the power; raise the order"
         )
-    return HarmonicSpectrum(order, np.concatenate((coeffs[n - order :], coeffs[: order + 1])))
+    return coeffs
+
+
+def _row_spectrum(samples: np.ndarray, order: int) -> HarmonicSpectrum:
+    coeffs = _spectrum(samples[None], order)[0]
+    return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
 
 
 def exact_modulator_spectrum(
@@ -118,7 +148,24 @@ def exact_modulator_spectrum(
     if order is None:
         order = default_order(mod)
     _require_order(order, mod)
-    return _spectrum(lambda theta: _field(mod, theta), order)
+    return _row_spectrum(_field(mod, _phases(order)), order)
+
+
+def _link_samples(
+    alice: ModulatorSpec, bob: ModulatorSpec, link: LinkSpec, order: int | None
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Checked order, its RF phases, Bob's field and the tandem field.
+
+    The tandem field is Alice's field, delayed by the span and scaled by
+    sqrt(loss), times Bob's.
+    """
+    if order is None:
+        order = default_order(alice, bob)
+    _require_order(order, alice, bob)
+    theta = _phases(order)
+    bob_field = _field(bob, theta)
+    delayed = _field(alice, theta, link.link_phase, math.sqrt(link.loss))
+    return order, theta, bob_field, delayed * bob_field
 
 
 def exact_tandem_spectrum(
@@ -128,31 +175,22 @@ def exact_tandem_spectrum(
     order: int | None = None,
 ) -> HarmonicSpectrum:
     """Exact output spectrum of the full Alice-link-Bob cascade."""
-    if order is None:
-        order = default_order(alice, bob)
-    _require_order(order, alice, bob)
-    amp = math.sqrt(link.loss)
-    return _spectrum(
-        lambda theta: amp * _field(alice, theta - link.link_phase) * _field(bob, theta),
-        order,
-    )
+    order, _, _, tandem = _link_samples(alice, bob, link, order)
+    return _row_spectrum(tandem, order)
 
 
-def exact_interference_coeffs(
-    alice: ModulatorSpec, bob: ModulatorSpec
+def _weights(
+    alice: ModulatorSpec, bob: ModulatorSpec, alice_row: np.ndarray, bob_row: np.ndarray
 ) -> tuple[complex, complex]:
-    """First-harmonic interference weights of the exact model.
+    """Exact interference weights from each modulator's own transform row.
 
-    Same structure as the first-order coefficients, with the truncated
-    m/2 and unit carrier factors replaced by their full Bessel values
-    J_1(m) and J_0(m): each modulator's harmonic 0, and its harmonic 1
-    without the RF phase exp(j*phi).  As m -> 0 these converge to the
-    first-order coefficients.
+    A row's harmonic 0 is the carrier with J_0(m) in place of 1, and its
+    harmonic 1 without the RF phase exp(j*phi) is the sideband factor with
+    J_1(m) in place of m/2.
     """
-    a, b = exact_modulator_spectrum(alice), exact_modulator_spectrum(bob)
-    a_sideband = a.amp(1) * complex(np.exp(-1j * alice.phi))
-    b_sideband = b.amp(1) * complex(np.exp(-1j * bob.phi))
-    return b.amp(0) * a_sideband, a.amp(0) * b_sideband
+    a_sideband = complex(alice_row[1]) * cmath.exp(-1j * alice.phi)
+    b_sideband = complex(bob_row[1]) * cmath.exp(-1j * bob.phi)
+    return complex(bob_row[0]) * a_sideband, complex(alice_row[0]) * b_sideband
 
 
 def small_signal_error(
@@ -170,14 +208,19 @@ def small_signal_error(
     Relative error is reported where the exact power exceeds 1e-9; below
     that the absolute difference is returned instead.
     """
-    c_a, c_b = interference_coeffs(alice, bob)
-    if abs(c_a) ** 2 + abs(c_b) ** 2 == 0.0:
-        raise InvalidParameterError("degenerate pairing: no first-order sidebands")
-    e_a, e_b = exact_interference_coeffs(alice, bob)
+    try:
+        p_small = sideband_powers(alice, bob, link)
+    except DegenerateConfigurationError as exc:
+        raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
+    order, theta, bob_field, tandem_field = _link_samples(alice, bob, link, order)
+    rows = np.array((_field(alice, theta), bob_field, tandem_field))
+    alice_row, bob_row, tandem = _spectrum(rows, order)
+    e_a, e_b = _weights(alice, bob, alice_row, bob_row)
     exact_norm = 2.0 * (abs(e_a) ** 2 + abs(e_b) ** 2) * link.loss
-    exact = exact_tandem_spectrum(alice, bob, link, order)
-    p_exact = (exact.power(1) / exact_norm, exact.power(-1) / exact_norm)
-    p_small = sideband_powers(alice, bob, link)
+    p_exact = (
+        abs(complex(tandem[1])) ** 2 / exact_norm,
+        abs(complex(tandem[-1])) ** 2 / exact_norm,
+    )
     errors = []
     for pe, ps in zip(p_exact, p_small):
         if pe > 1e-9:

@@ -134,15 +134,20 @@ def interference_coeffs(
 
 
 def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
-    """Fringe contrast 2|a||b| / (|a|^2 + |b|^2), clipped to [0, 1]."""
+    """Fringe contrast 2|a||b| / (|a|^2 + |b|^2), clipped to [0, 1].
+
+    Evaluated as 2r / (1 + r^2) with r the smaller magnitude over the
+    larger, which no scale of the coefficients can overflow.
+    """
     a = abs(alice_coeff)
     b = abs(bob_coeff)
-    denom = a * a + b * b
-    if denom == 0.0:
+    low, high = (a, b) if a <= b else (b, a)
+    if high == 0.0:
         raise DegenerateConfigurationError(
             "no sideband light: both interference coefficients are zero"
         )
-    return min(1.0, 2.0 * a * b / denom)
+    r = low / high
+    return min(1.0, 2.0 * r / (1.0 + r * r))
 
 
 def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
@@ -203,13 +208,16 @@ def sideband_powers_direct(
     """Same powers evaluated from the explicit band cascade.
 
     Reference path for the closed form: |cascaded band|^2 divided by
-    2 * (|alice_coeff|^2 + |bob_coeff|^2) * loss.
+    2 * (|alice_coeff|^2 + |bob_coeff|^2) * loss, with both magnitudes
+    taken relative to sqrt(|alice_coeff|^2 + |bob_coeff|^2) so that no
+    drive index overflows the squares.
     """
     a, b = interference_coeffs(alice, bob)
-    norm = 2.0 * (abs(a) ** 2 + abs(b) ** 2) * link.loss
-    if norm == 0.0:
+    scale = math.hypot(abs(a), abs(b))
+    if scale == 0.0:
         raise DegenerateConfigurationError(
             "no sideband light: both interference coefficients are zero"
         )
+    norm = 2.0 * link.loss
     out = cascade(propagate(band_amplitudes(alice), link), band_amplitudes(bob))
-    return abs(out.upper) ** 2 / norm, abs(out.lower) ** 2 / norm
+    return (abs(out.upper) / scale) ** 2 / norm, (abs(out.lower) / scale) ** 2 / norm

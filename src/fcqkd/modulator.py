@@ -26,6 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InvalidParameterError
 
@@ -98,19 +99,12 @@ class ModulatorSpec:
         return max(self.m1, self.m2) > LOW_MODULATION_LIMIT
 
 
-@dataclass(frozen=True)
-class ThreeBandField:
+class ThreeBandField(NamedTuple):
     """Complex amplitudes at the carrier and the two first-order sidebands."""
 
     carrier: complex
     lower: complex
     upper: complex
-
-    def __post_init__(self):
-        for name in ("carrier", "lower", "upper"):
-            z = getattr(self, name)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise InvalidParameterError(f"{name} amplitude must be finite")
 
     def total_power(self) -> float:
         return abs(self.carrier) ** 2 + abs(self.lower) ** 2 + abs(self.upper) ** 2

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 from .harmonics import small_signal_error
-from .link import LinkSpec, sideband_powers
+from .link import LinkSpec, _fringe, _fringe_powers
 from .modulator import LOW_MODULATION_LIMIT, ModulatorKind, make_modulator
 
 _KINDS = (ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM)
@@ -71,15 +71,25 @@ class PairReport:
 
 
 def lattice_points(alice_kind: ModulatorKind, bob_kind: ModulatorKind, m: float):
-    """Operating points for one pairing with both sideband powers >= floor."""
+    """Operating points for one pairing with both sideband powers >= floor.
+
+    The fringe's visibility and offset do not depend on the drive phases,
+    so one evaluation serves every candidate pair.
+    """
     link = LinkSpec(rf_frequency=1.0, link_phase=_LINK_PHASE)
+    _, _, vis, offset = _fringe(
+        make_modulator(alice_kind, m, _PSI_A), make_modulator(bob_kind, m, _PSI_B)
+    )
     kept = []
     for phi_a, phi_b in _PHASE_CANDIDATES:
+        # with one coefficient zero both powers are 1/2, above the floor
+        if offset is not None and min(
+            _fringe_powers(vis, offset, phi_b - phi_a + _LINK_PHASE)
+        ) < _POWER_FLOOR:
+            continue
         alice = make_modulator(alice_kind, m, _PSI_A, phi_a)
         bob = make_modulator(bob_kind, m, _PSI_B, phi_b)
-        p_up, p_low = sideband_powers(alice, bob, link)
-        if min(p_up, p_low) >= _POWER_FLOOR:
-            kept.append((alice, bob, link))
+        kept.append((alice, bob, link))
         if len(kept) == _POINTS_PER_PAIR:
             break
     return kept

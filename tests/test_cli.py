@@ -144,6 +144,20 @@ class TestSweepCommand:
         assert main(["sweep"]) == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("m", ["1e155", "1e200"])
+    def test_huge_drive_gives_finite_rows(self, tmp_path, capsys, m):
+        # |coefficient|^2 overflows a float above m ~ 1e154
+        path = write_config(
+            tmp_path,
+            f"[alice]\nkind = UM\nm = {m}\npsi = 0.3\n\n[bob]\nkind = AM\nm = {m}\npsi = 0.5\n",
+        )
+        assert main(["sweep", "--config", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == 64
+        for _, up, low, up_c, low_c in rows:
+            assert all(math.isfinite(v) for v in (up, low, up_c, low_c))
+            assert abs(up - up_c) <= 1e-12 and abs(low - low_c) <= 1e-12
+
     def test_steps_above_cap_is_a_config_error(self, tmp_path, capsys):
         text = BB84_CONFIG + f"\n[sweep]\nsteps = {MAX_SWEEP_STEPS + 1}\n"
         assert main(["sweep", "--config", write_config(tmp_path, text)]) == 2
@@ -222,6 +236,47 @@ class TestSpectrumCommand:
         # an explicit order still gets the order message
         assert main(["spectrum", "--config", path, "--order", "171"]) == 2
         assert capsys.readouterr().err == "error: order 171 above the supported maximum 170\n"
+
+
+def golden(name):
+    return json.loads((pathlib.Path(__file__).parent / "data" / name).read_text())
+
+
+def run_json(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestGoldenRuns:
+    # recorded before the yardstick kernels were reworked; rounding may move
+    # the last digits, and the spectrum bins far below the carrier, which
+    # hold only transform rounding noise
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["verify"], "verify.json"), (["verify", "--max-m", "0.2"], "verify_max_m_0.2.json")],
+    )
+    def test_verify(self, capsys, argv, name):
+        got, want = run_json(capsys, argv), golden(name)
+        for pair, ref in zip(got["pairs"], want["pairs"]):
+            error, ref_error = pair.pop("worst_relative_error"), ref.pop("worst_relative_error")
+            assert error == pytest.approx(ref_error, rel=1e-10, abs=0)
+        assert got == want
+
+    @pytest.mark.parametrize("command, name", [("sweep", "sweep.json"), ("spectrum", "spectrum.json")])
+    def test_rows(self, capsys, command, name):
+        got, want = run_json(capsys, [command, "--format", "json"]), golden(name)
+        assert got["columns"] == want["columns"]
+        assert len(got["rows"]) == len(want["rows"])
+        for row, ref in zip(got["rows"], want["rows"]):
+            assert row[0] == ref[0]
+            for v, r in zip(row[1:], ref[1:]):
+                if command == "spectrum":
+                    # dB relative to the carrier: compare the power at every
+                    # bin, the dB only where the bin is above rounding noise
+                    assert abs(10 ** (v / 10) - 10 ** (r / 10)) <= 1e-12
+                    if r < -200.0:
+                        continue
+                assert abs(v - r) <= 1e-12
 
 
 class TestTable2Command:
@@ -349,3 +404,14 @@ class TestQkdCommand:
         text = BB84_CONFIG.replace("n_pulses = 20000", f"n_pulses = {2**63 - 1}")
         assert main(["qkd", "--config", write_config(tmp_path, text)]) == 0
         assert json.loads(capsys.readouterr().out)["stats"]["sent"] == 2**63 - 1
+
+    def test_huge_equal_drives_keep_the_visibility(self, tmp_path, capsys):
+        # equal drives: V does not depend on m, so neither do the counts;
+        # an overflowed |a|^2 + |b|^2 once read as V = 1 and QBER 0
+        stats = []
+        for m in ("0.1", "1e200"):
+            text = BB84_CONFIG.replace("m = 0.1", f"m = {m}").replace("m = 0.05", f"m = {m}")
+            assert main(["qkd", "--config", write_config(tmp_path, text)]) == 0
+            stats.append(json.loads(capsys.readouterr().out)["stats"])
+        assert stats[0] == stats[1]
+        assert stats[1]["errors"] > 0

@@ -1,10 +1,11 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fcqkd import (
@@ -16,8 +17,9 @@ from fcqkd import (
     make_modulator,
     small_signal_error,
 )
+from fcqkd import harmonics
 from fcqkd.harmonics import default_order, exact_modulator_spectrum
-from fcqkd.modulator import band_amplitudes
+from fcqkd.modulator import band_amplitudes, carrier_amplitude, sideband_factor
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
@@ -190,6 +192,50 @@ class TestTandemSpectrum:
         assert default_order(make_modulator(PM, 1.0), make_modulator(PM, 0.2)) == 11
 
 
+def bessel_weights(alice, bob):
+    """Interference weights with m/2 -> J_1(m) and 1 -> J_0(m) in the first-order factors."""
+
+    jv = scipy.special.jv
+
+    def carrier(mod):
+        return carrier_amplitude(
+            mod.eps1 * jv(0, mod.m1), mod.eps2 * jv(0, mod.m2), cmath.exp(1j * mod.psi)
+        )
+
+    def sideband(mod):
+        return sideband_factor(
+            mod.eps1, mod.eps2, 2 * jv(1, mod.m1), 2 * jv(1, mod.m2), cmath.exp(1j * mod.psi)
+        )
+
+    return carrier(bob) * sideband(alice), carrier(alice) * sideband(bob)
+
+
+class TestInterferenceWeights:
+    @given(
+        st.sampled_from([(a, b) for a in (PM, AM, UM) for b in (PM, AM, UM)]),
+        st.floats(min_value=0.01, max_value=1.5),
+        st.floats(min_value=0.01, max_value=1.5),
+        st.lists(st.floats(min_value=-math.pi, max_value=math.pi), min_size=4, max_size=4),
+    )
+    def test_against_bessel_closed_form(self, kinds, m_a, m_b, angles):
+        alice = make_modulator(kinds[0], m_a, angles[0], angles[1])
+        bob = make_modulator(kinds[1], m_b, angles[2], angles[3])
+        seen, weights = [], harmonics._weights
+
+        def recording(*args):
+            seen.append(weights(*args))
+            return seen[-1]
+
+        with mock.patch.object(harmonics, "_weights", recording):
+            try:
+                small_signal_error(alice, bob, link(0.3, 0.5))
+            except InvalidParameterError:
+                assume(False)  # both first-order coefficients vanish
+        assert len(seen) == 1
+        for got, want in zip(seen[0], bessel_weights(alice, bob)):
+            assert abs(got - want) <= 1e-15
+
+
 class TestSmallSignalError:
     def test_quadratic_trend(self):
         alice_small = make_modulator(PM, 0.01, 0.0, 0.3)
@@ -208,3 +254,16 @@ class TestSmallSignalError:
             small_signal_error(
                 make_modulator(AM, 0.1, 0.0), make_modulator(AM, 0.1, 0.0), link()
             )
+
+    def test_near_null_pairing_rejected_as_degenerate(self):
+        # both coefficients are ~1e-18, under the zero rule but not exactly 0
+        um = make_modulator(UM, 0.1, math.pi / 2)
+        with pytest.raises(InvalidParameterError, match="degenerate pairing"):
+            small_signal_error(um, um, link())
+
+    def test_tail_rule_applies_to_the_tandem_row(self):
+        # each PM alone fits order 10; their in-phase product does not
+        alice, bob = make_modulator(PM, 1.5, 0.3), make_modulator(PM, 1.5, 0.0, 0.0)
+        with pytest.raises(TruncationError):
+            small_signal_error(alice, bob, link(), order=10)
+        assert all(math.isfinite(e) for e in small_signal_error(alice, bob, link(), order=11))

@@ -132,6 +132,26 @@ class TestVisibilityAndOffset:
         with pytest.raises(DegenerateConfigurationError):
             visibility(0j, 0j)
 
+    @given(
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+        angles,
+        angles,
+        st.floats(min_value=-300.0, max_value=300.0),
+    )
+    def test_visibility_scale_invariant(self, mag_a, mag_b, arg_a, arg_b, log_scale):
+        a, b = mag_a * cmath.exp(1j * arg_a), mag_b * cmath.exp(1j * arg_b)
+        s = 10.0**log_scale
+        assert abs(visibility(s * a, s * b) - visibility(a, b)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [1e155, 1e200, 1e300])
+    def test_visibility_at_huge_drive(self, m):
+        # equal drives: both coefficients scale with m, so V does not depend on it
+        small = _fringe(make_modulator(UM, 0.1, 0.3), make_modulator(AM, 0.1, 0.5))
+        huge = _fringe(make_modulator(UM, m, 0.3), make_modulator(AM, m, 0.5))
+        assert huge[2] == pytest.approx(small[2], abs=1e-15)
+        assert huge[2] == pytest.approx(0.99909, abs=1e-5)
+
     def test_offset_undefined(self):
         with pytest.raises(PhaseUndefinedError):
             phase_offset(0j, 1.0)
