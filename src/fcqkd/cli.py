@@ -141,6 +141,8 @@ def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
 def cmd_spectrum(
     cfg: RunConfig, delta_phi: float, order: int | None, fmt: str, out_path: str | None
 ) -> int:
+    if not math.isfinite(delta_phi):
+        raise InvalidParameterError(f"--delta-phi must be finite, got {delta_phi!r}")
     _, offset = _fringe_offset(cfg)
     bob = dataclasses.replace(cfg.bob, phi=_bob_phi_for(cfg, offset, delta_phi))
     spectrum = exact_tandem_spectrum(cfg.alice, bob, cfg.link, order)

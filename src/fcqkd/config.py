@@ -198,6 +198,8 @@ def parse_config(text: str) -> RunConfig:
         sweep_start = _get_float(sweep, "start", 0.0)
         sweep_stop = _get_float(sweep, "stop", math.tau)
         sweep_steps = _get_int(sweep, "steps", 64)
+        if not math.isfinite(sweep_stop - sweep_start):
+            raise ConfigError("[sweep] start, stop and stop - start must be finite")
         if not 0 < sweep_steps <= MAX_SWEEP_STEPS:
             raise ConfigError(f"[sweep] steps must be in [1, {MAX_SWEEP_STEPS}]")
 

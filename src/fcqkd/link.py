@@ -33,14 +33,6 @@ from .modulator import (
 )
 
 
-def wrap_to_pi(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.remainder(angle, math.tau)
-    if wrapped <= -math.pi:
-        wrapped += math.tau
-    return wrapped
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     """Dispersion-compensated fiber span.
@@ -156,7 +148,8 @@ def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
         raise PhaseUndefinedError(
             "phase offset undefined: an interference coefficient is zero"
         )
-    return wrap_to_pi(cmath.phase(bob_coeff) - cmath.phase(alice_coeff))
+    wrapped = math.remainder(cmath.phase(bob_coeff) - cmath.phase(alice_coeff), math.tau)
+    return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 
 def _fringe(

@@ -11,13 +11,14 @@ those conditions the counters follow
 with dphi = phi_b - phi_a + link_phase + offset.
 
 :func:`classify_pair` derives feasibility, bias constraints and required
-index ratios purely numerically from the interference coefficients.  Each
-candidate bias set is classified as arrays in one coefficient evaluation;
-every number that is reported comes from the scalar evaluation at its
-point.  The module also embeds an independently hand-derived reference table
-(``REFERENCE_TABLE``) of closed-form expressions per pairing, used by the
-``table2`` CLI command and the acceptance suite to cross-check the
-numeric classification.
+index ratios purely numerically from the interference coefficients.  Both
+protocols read their verdicts from at most three array evaluations: the
+n x n bias grid, every candidate family's (t, n) lattice stacked into one
+block and, only when a zero-visibility locus is dead, that lattice nudged
+off it.  Every reported number comes from the scalar evaluation at its
+point.  :func:`compare_row_with_reference` checks a row, in one grid
+evaluation, against the hand-derived closed forms of ``REFERENCE_TABLE``,
+as the ``table2`` command and the acceptance suite do.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,9 +121,9 @@ def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> P
 
 # --- bias-constraint families --------------------------------------------
 #
-# Candidate bias families probed by classify_pair, in order of preference.
-# Each maps (free bias t, integer n) -> (psi_a, psi_b), for numbers or for
-# broadcastable arrays alike.
+# Candidate bias families probed by classify_pair, in order of preference,
+# then the two loci where a coefficient may die.  Each maps (free bias t,
+# integer n) -> (psi_a, psi_b), for numbers or broadcastable arrays alike.
 
 _N_RANGE = np.arange(-2, 3)
 
@@ -132,72 +133,86 @@ class _Family(NamedTuple):
     points: Callable[[float, int], tuple[float, float]]
 
 
-_FEASIBLE_FAMILIES = (
+_FAMILIES = (
     _Family("psi_a = n*pi", lambda t, n: (n * math.pi, t)),
     _Family("psi_b = n*pi", lambda t, n: (t, n * math.pi)),
     _Family("psi_b = psi_a + n*pi", lambda t, n: (t, t + n * math.pi)),
     _Family("psi_b = psi_a + (2n+1)*pi/2", lambda t, n: (t, t + (2 * n + 1) * 0.5 * math.pi)),
-)
-
-_ZERO_VIS_FAMILIES = (
     _Family("psi_a = (2n+1)*pi/2", lambda t, n: ((2 * n + 1) * 0.5 * math.pi, t)),
     _Family("psi_b = (2n+1)*pi/2", lambda t, n: (t, (2 * n + 1) * 0.5 * math.pi)),
 )
+_ZERO_VIS = slice(4, None)
+_FEASIBLE_FAMILIES, _ZERO_VIS_FAMILIES = _FAMILIES[:4], _FAMILIES[_ZERO_VIS]
+# Where the reference check samples each feasible constraint, at free bias t.
+_SAMPLE_POINTS = {family.label: family.points for family in _FEASIBLE_FAMILIES}
+_SAMPLE_POINTS["any"] = lambda t, n: (t, t * 0.8 + 0.1)
 
 
-def _bias_grid(psi_grid: list[float]) -> np.ndarray:
-    """The bias grid as an array; rejects an empty grid or a non-finite bias."""
-    if not psi_grid:
-        raise InvalidParameterError("psi_grid must be non-empty")
-    return np.array([_require_finite("psi", psi) for psi in psi_grid])
-
-
-def _classify_protocol(alice_kind, bob_kind, protocol: str, psi: np.ndarray):
-    shift = _required_shift(protocol)
-    lattice = (psi[:, None], _N_RANGE)
-
-    def coeffs(pa, pb):
-        return _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
-
-    # The whole grid first, then each family's (t, n) lattice, row-major.
-    candidates = [("any", (psi[:, None], psi))]
-    candidates += [(family.label, family.points(*lattice)) for family in _FEASIBLE_FAMILIES]
-    for label, points in candidates:
-        pa, pb = np.broadcast_arrays(*points)
-        if _in_class(coeffs(pa, pb), shift).all():
-            k = pa.size // 3
-            _, ratio = evaluate_pair(alice_kind, bob_kind, pa.flat[k], pb.flat[k])
-            return ProtocolFeasibility(protocol, True, label, ratio, "none")
-
-    # Infeasible: decide whether the phase-offset condition is unreachable
-    # outright, or reachable only on a bias locus where a coefficient dies.
-    for family in _ZERO_VIS_FAMILIES:
-        pa, pb = family.points(*lattice)
-        _, _, a_zero, b_zero = coeffs(pa, pb)
-        # Just off the locus the offset must approach the required class.
-        if np.all(a_zero | b_zero) and _in_class(coeffs(pa + 1e-6, pb + 1e-6), shift, 1e-3).all():
-            return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
-    return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
+def _bias_grid(psi_grid) -> np.ndarray:
+    """The bias grid as a float array; rejects all but a non-empty 1-D grid of finite reals."""
+    try:
+        psi = np.array(psi_grid, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"psi_grid must hold real numbers: {exc}") from exc
+    if psi.ndim != 1 or psi.size == 0:
+        raise InvalidParameterError(f"psi_grid must be non-empty and 1-D, got shape {psi.shape}")
+    bad = psi[~np.isfinite(psi)]
+    if bad.size:
+        raise InvalidParameterError(f"psi must be finite, got {float(bad[0])!r}")
+    return psi
 
 
 def classify_pair(
     alice_kind: ModulatorKind,
     bob_kind: ModulatorKind,
-    psi_grid: list[float],
+    psi_grid: Sequence[float] | np.ndarray,
 ) -> ClassificationRow:
     """Classify one kind pairing over a grid of generic biases.
 
-    ``psi_grid`` supplies the generic bias samples; it must avoid exact
-    singular biases (multiples of pi/2) unless those are being probed on
-    purpose.  Everything is derived numerically from the interference
+    ``psi_grid`` is a 1-D sequence of generic bias samples; it must avoid
+    exact singular biases (multiples of pi/2) unless those are being probed
+    on purpose.  Everything is derived numerically from the interference
     coefficients; the canonical labels come from the reference table for
     readability only.
     """
     psi = _bias_grid(psi_grid)
-    b92 = _classify_protocol(alice_kind, bob_kind, B92, psi)
-    bb84 = _classify_protocol(alice_kind, bob_kind, BB84, psi)
+    n = psi.size
+    u = np.exp(1j * psi)
+    grid = _unit_coeffs(alice_kind, bob_kind, u[:, None], u)
+    everywhere = {p: _in_class(grid, _required_shift(p)).all() for p in (B92, BB84)}
+    del grid  # not held beside the lattices, which would raise the peak memory
+    # Each family's (t, n) lattice, row-major, stacked: angles[side, family].
+    angles = np.empty((2, len(_FAMILIES), n, _N_RANGE.size))
+    for i, family in enumerate(_FAMILIES):
+        angles[0, i], angles[1, i] = family.points(psi[:, None], _N_RANGE)
+    lattice = _unit_coeffs(alice_kind, bob_kind, *np.exp(1j * angles))
+    dead = (lattice[2] | lattice[3])[_ZERO_VIS].all(axis=(1, 2))
+    # Just off a dead locus the offset must approach the required class.
+    nudged = None
+    if dead.any():
+        nudged = _unit_coeffs(alice_kind, bob_kind, *np.exp(1j * (angles[:, _ZERO_VIS] + 1e-6)))
 
-    ref_bias = (psi_grid[len(psi_grid) // 3], psi_grid[(2 * len(psi_grid)) // 3])
+    def verdict(protocol: str) -> ProtocolFeasibility:
+        shift = _required_shift(protocol)
+        # The whole grid first, then each feasible family in order.
+        if everywhere[protocol]:
+            i, j = divmod(n * n // 3, n)
+            _, ratio = evaluate_pair(alice_kind, bob_kind, psi[i], psi[j])
+            return ProtocolFeasibility(protocol, True, "any", ratio, "none")
+        in_class = _in_class(lattice, shift)
+        for i, family in enumerate(_FEASIBLE_FAMILIES):
+            if in_class[i].all():
+                pa, pb = angles[:, i].reshape(2, -1)[:, in_class[i].size // 3]
+                _, ratio = evaluate_pair(alice_kind, bob_kind, pa, pb)
+                return ProtocolFeasibility(protocol, True, family.label, ratio, "none")
+        # Infeasible: the phase-offset condition is unreachable outright, or
+        # reachable only on a bias locus where a coefficient dies.
+        for j, family in enumerate(_ZERO_VIS_FAMILIES):
+            if dead[j] and _in_class(nudged, shift, 1e-3)[j].all():
+                return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
+        return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
+
+    ref_bias = (float(psi[n // 3]), float(psi[(2 * n) // 3]))
     a, b, a_zero, b_zero = _coeffs_at(alice_kind, bob_kind, *ref_bias)
     theta_ref = math.nan if (a_zero or b_zero) else phase_offset(a, b)
     ratio_ref = math.inf if a_zero else abs(b) / abs(a)
@@ -211,8 +226,8 @@ def classify_pair(
         reference_bias=ref_bias,
         theta_at_reference=theta_ref,
         ratio_at_reference=ratio_ref,
-        b92=b92,
-        bb84=bb84,
+        b92=verdict(B92),
+        bb84=verdict(BB84),
     )
 
 
@@ -331,17 +346,8 @@ REFERENCE_TABLE: dict[tuple[ModulatorKind, ModulatorKind], ReferenceRow] = {
     ),
 }
 
-ROW_ORDER: tuple[tuple[ModulatorKind, ModulatorKind], ...] = (
-    (_UM, _UM),
-    (_AM, _AM),
-    (_PM, _PM),
-    (_PM, _AM),
-    (_AM, _PM),
-    (_UM, _PM),
-    (_PM, _UM),
-    (_UM, _AM),
-    (_AM, _UM),
-)
+# The display order of the table rows is the reference table's order.
+ROW_ORDER: tuple[tuple[ModulatorKind, ModulatorKind], ...] = tuple(REFERENCE_TABLE)
 
 
 def _null_error(alice_kind, bob_kind, psi_a, psi_b) -> PhaseUndefinedError:
@@ -370,7 +376,7 @@ def compare_row_with_reference(
     alice_kind: ModulatorKind,
     bob_kind: ModulatorKind,
     row: ClassificationRow,
-    psi_grid: list[float],
+    psi_grid: Sequence[float] | np.ndarray,
     tol: float = THETA_TOL,
 ) -> list[str]:
     """Mismatch descriptions between a classified row and the reference.
@@ -382,19 +388,24 @@ def compare_row_with_reference(
     :class:`PhaseUndefinedError`.
     """
     psi = _bias_grid(psi_grid)
-    pa, pb = np.broadcast_arrays(psi[:, None], psi)
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    n = psi.size
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     name = f"{alice_kind.value}-{bob_kind.value}"
-    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
+    u = np.exp(1j * psi)
+    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, u[:, None], u)
     null = np.flatnonzero(a_zero | b_zero)
     if null.size:
-        raise _null_error(alice_kind, bob_kind, pa.flat[null[0]], pb.flat[null[0]])
-    dev = np.abs(np.angle(b * a.conjugate() * np.exp(-1j * ref.theta(pa, pb))))
+        i, j = divmod(null[0], n)
+        raise _null_error(alice_kind, bob_kind, psi[i], psi[j])
+    dev = np.abs(np.angle(b * a.conjugate() * np.exp(-1j * ref.theta(psi[:, None], psi))))
     theta_bad = dev > tol
-    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(pa, pb) - 1.0) > tol
+    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(psi[:, None], psi) - 1.0) > tol
     failures: list[str] = []
     for k in np.flatnonzero(theta_bad | ratio_bad):
-        at = f"psi=({pa.flat[k]:.6f},{pb.flat[k]:.6f})"
+        i, j = divmod(k, n)
+        at = f"psi=({psi[i]:.6f},{psi[j]:.6f})"
         if theta_bad.flat[k]:
             failures.append(f"{name}: theta deviates {dev.flat[k]:.3e} at {at}")
         if ratio_bad.flat[k]:
@@ -407,18 +418,9 @@ def compare_row_with_reference(
         )
         failures += [f"{name}/{proto}: {k}={g!r}, expected {w!r}" for k, g, w in checks if g != w]
         if expect.feasible and expect.constrained_ratio is not None:
-            for t in (psi_grid[0], psi_grid[len(psi_grid) // 2], psi_grid[-1]):
-                pa, pb = _constrained_point(expect.constraint, t)
+            for t in (float(psi[0]), float(psi[n // 2]), float(psi[-1])):
+                pa, pb = _SAMPLE_POINTS[expect.constraint](t, 0)
                 _, ratio_num = evaluate_pair(alice_kind, bob_kind, pa, pb)
                 if abs(ratio_num / expect.constrained_ratio(pa, pb) - 1.0) > tol:
                     failures.append(f"{name}/{proto}: constrained ratio mismatch at t={t:.6f}")
     return failures
-
-
-def _constrained_point(constraint: str, t: float) -> tuple[float, float]:
-    if constraint == "any":
-        return t, t * 0.8 + 0.1
-    for family in _FEASIBLE_FAMILIES:
-        if family.label == constraint:
-            return family.points(t, 0)
-    raise ValueError(f"no sample point rule for constraint {constraint!r}")

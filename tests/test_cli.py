@@ -165,6 +165,17 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: [sweep] steps") and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "bounds", ["stop = inf", "start = nan", "start = -1e308\nstop = 1e308"]
+    )
+    def test_non_finite_bounds_name_the_sweep_keys(self, tmp_path, capsys, bounds):
+        # an infinite span used to reach the modulator as "phi must be finite, got nan"
+        path = write_config(tmp_path, BB84_CONFIG + f"\n[sweep]\n{bounds}\n")
+        assert main(["sweep", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [sweep] start, stop and stop - start must be finite\n"
+
 
 class TestSpectrumCommand:
     def test_bright_fringe_shows_sidebands(self, capsys):
@@ -195,6 +206,13 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--order", "170"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) - 1 == 341
+
+    @pytest.mark.parametrize("delta_phi", ["nan", "inf", "-inf"])
+    def test_non_finite_delta_phi_names_the_option(self, capsys, delta_phi):
+        assert main(["spectrum", f"--delta-phi={delta_phi}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --delta-phi must be finite, got {float(delta_phi)!r}\n"
 
     @pytest.mark.parametrize("order", ["171", "100000"])
     def test_order_above_cap_is_a_parameter_error(self, capsys, order):

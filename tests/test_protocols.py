@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fcqkd import (
@@ -19,9 +20,12 @@ from fcqkd import (
     protocols,
     sideband_powers,
 )
+from fcqkd.modulator import _require_finite
 from fcqkd.protocols import (
     REFERENCE_TABLE,
     ROW_ORDER,
+    ClassificationRow,
+    ProtocolFeasibility,
     check_protocol,
     compare_row_with_reference,
     evaluate_pair,
@@ -171,6 +175,36 @@ class TestClassification:
         with pytest.raises(InvalidParameterError):
             compare_row_with_reference(UM, AM, row, grid)
 
+    @pytest.mark.parametrize("pairing", ROW_ORDER, ids=lambda p: f"{p[0].value}-{p[1].value}")
+    def test_any_one_dimensional_sequence_gives_the_same_row(self, pairing):
+        # an ndarray grid used to raise numpy's "truth value ... ambiguous"
+        alice_kind, bob_kind = pairing
+        grid = np.linspace(0.1, 1.4, 8)
+        row = classify_pair(alice_kind, bob_kind, grid.tolist())
+        failures = compare_row_with_reference(alice_kind, bob_kind, row, grid.tolist())
+        for same in (tuple(grid.tolist()), grid, [str(psi) for psi in grid]):
+            assert repr(classify_pair(alice_kind, bob_kind, same)) == repr(row)
+            assert compare_row_with_reference(alice_kind, bob_kind, row, same) == failures
+
+    @pytest.mark.parametrize(
+        "grid", [np.empty(0), [[0.3, 0.5]], np.zeros((2, 2)), 0.3, ["abc"], [0.3, 1j]],
+        ids=["empty", "nested", "2-D", "scalar", "text", "complex"],
+    )
+    def test_malformed_grid_is_a_parameter_error(self, grid):
+        row = classify_pair(UM, AM, GRID)
+        with pytest.raises(InvalidParameterError, match="psi_grid"):
+            classify_pair(UM, AM, grid)
+        with pytest.raises(InvalidParameterError, match="psi_grid"):
+            compare_row_with_reference(UM, AM, row, grid)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # a NaN tolerance made every grid comparison false and the check pass
+        row = classify_pair(UM, AM, GRID)
+        with pytest.raises(InvalidParameterError, match="tol"):
+            compare_row_with_reference(UM, AM, row, GRID, tol=tol)
+        assert isinstance(compare_row_with_reference(UM, AM, row, GRID, tol=0.0), list)
+
     def test_builds_no_modulator_specs(self, monkeypatch):
         built = []
         original = ModulatorSpec.__post_init__
@@ -281,3 +315,194 @@ class TestFringeLaws:
             p_up, p_low = sideband_powers(alice, bob, link)
             assert p_up == pytest.approx(math.cos(target / 2) ** 2, abs=1e-12)
             assert p_low == pytest.approx(math.cos(target / 2) ** 2, abs=1e-12)
+
+
+# --- the per-candidate classifier, kept as the oracle for the stacked one ---
+#
+# The loop below and the reference check after it are the implementation
+# that evaluated each candidate family separately, once per protocol, on
+# broadcast angle grids.  The families are copied too, so a change to the
+# package's families shows wherever it changes a verdict.
+
+
+class _Family(NamedTuple):
+    label: str
+    points: Callable[[float, int], tuple[float, float]]
+
+
+_FEASIBLE_FAMILIES = (
+    _Family("psi_a = n*pi", lambda t, n: (n * math.pi, t)),
+    _Family("psi_b = n*pi", lambda t, n: (t, n * math.pi)),
+    _Family("psi_b = psi_a + n*pi", lambda t, n: (t, t + n * math.pi)),
+    _Family("psi_b = psi_a + (2n+1)*pi/2", lambda t, n: (t, t + (2 * n + 1) * 0.5 * math.pi)),
+)
+
+_ZERO_VIS_FAMILIES = (
+    _Family("psi_a = (2n+1)*pi/2", lambda t, n: ((2 * n + 1) * 0.5 * math.pi, t)),
+    _Family("psi_b = (2n+1)*pi/2", lambda t, n: (t, (2 * n + 1) * 0.5 * math.pi)),
+)
+
+_N_RANGE = np.arange(-2, 3)
+_required_shift = protocols._required_shift
+_unit_coeffs = protocols._unit_coeffs
+_in_class = protocols._in_class
+_coeffs_at = protocols._coeffs_at
+_null_error = protocols._null_error
+phase_offset = protocols.phase_offset
+
+
+def _bias_grid(psi_grid: list[float]) -> np.ndarray:
+    """The bias grid as an array; rejects an empty grid or a non-finite bias."""
+    if not psi_grid:
+        raise InvalidParameterError("psi_grid must be non-empty")
+    return np.array([_require_finite("psi", psi) for psi in psi_grid])
+
+
+def _classify_protocol(alice_kind, bob_kind, protocol: str, psi: np.ndarray):
+    shift = _required_shift(protocol)
+    lattice = (psi[:, None], _N_RANGE)
+
+    def coeffs(pa, pb):
+        return _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
+
+    # The whole grid first, then each family's (t, n) lattice, row-major.
+    candidates = [("any", (psi[:, None], psi))]
+    candidates += [(family.label, family.points(*lattice)) for family in _FEASIBLE_FAMILIES]
+    for label, points in candidates:
+        pa, pb = np.broadcast_arrays(*points)
+        if _in_class(coeffs(pa, pb), shift).all():
+            k = pa.size // 3
+            _, ratio = evaluate_pair(alice_kind, bob_kind, pa.flat[k], pb.flat[k])
+            return ProtocolFeasibility(protocol, True, label, ratio, "none")
+
+    # Infeasible: decide whether the phase-offset condition is unreachable
+    # outright, or reachable only on a bias locus where a coefficient dies.
+    for family in _ZERO_VIS_FAMILIES:
+        pa, pb = family.points(*lattice)
+        _, _, a_zero, b_zero = coeffs(pa, pb)
+        # Just off the locus the offset must approach the required class.
+        if np.all(a_zero | b_zero) and _in_class(coeffs(pa + 1e-6, pb + 1e-6), shift, 1e-3).all():
+            return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
+    return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
+
+
+def reference_classify_pair(alice_kind, bob_kind, psi_grid):
+    psi = _bias_grid(psi_grid)
+    b92 = _classify_protocol(alice_kind, bob_kind, B92, psi)
+    bb84 = _classify_protocol(alice_kind, bob_kind, BB84, psi)
+
+    ref_bias = (psi_grid[len(psi_grid) // 3], psi_grid[(2 * len(psi_grid)) // 3])
+    a, b, a_zero, b_zero = _coeffs_at(alice_kind, bob_kind, *ref_bias)
+    theta_ref = math.nan if (a_zero or b_zero) else phase_offset(a, b)
+    ratio_ref = math.inf if a_zero else abs(b) / abs(a)
+
+    ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
+    return ClassificationRow(
+        alice_kind=alice_kind,
+        bob_kind=bob_kind,
+        theta_label=ref.theta_label,
+        ratio_label=ref.ratio_label,
+        reference_bias=ref_bias,
+        theta_at_reference=theta_ref,
+        ratio_at_reference=ratio_ref,
+        b92=b92,
+        bb84=bb84,
+    )
+
+
+def reference_compare_row(alice_kind, bob_kind, row, psi_grid, tol=protocols.THETA_TOL):
+    psi = _bias_grid(psi_grid)
+    pa, pb = np.broadcast_arrays(psi[:, None], psi)
+    ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
+    name = f"{alice_kind.value}-{bob_kind.value}"
+    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
+    null = np.flatnonzero(a_zero | b_zero)
+    if null.size:
+        raise _null_error(alice_kind, bob_kind, pa.flat[null[0]], pb.flat[null[0]])
+    dev = np.abs(np.angle(b * a.conjugate() * np.exp(-1j * ref.theta(pa, pb))))
+    theta_bad = dev > tol
+    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(pa, pb) - 1.0) > tol
+    failures: list[str] = []
+    for k in np.flatnonzero(theta_bad | ratio_bad):
+        at = f"psi=({pa.flat[k]:.6f},{pb.flat[k]:.6f})"
+        if theta_bad.flat[k]:
+            failures.append(f"{name}: theta deviates {dev.flat[k]:.3e} at {at}")
+        if ratio_bad.flat[k]:
+            failures.append(f"{name}: ratio deviates at {at}")
+    for proto, got, expect in (("B92", row.b92, ref.b92), ("BB84", row.bb84, ref.bb84)):
+        checks = (
+            ("feasible", got.feasible, expect.feasible),
+            ("constraint", got.bias_constraint, expect.constraint),
+            ("reason", got.failure_reason, expect.failure_reason),
+        )
+        failures += [f"{name}/{proto}: {k}={g!r}, expected {w!r}" for k, g, w in checks if g != w]
+        if expect.feasible and expect.constrained_ratio is not None:
+            for t in (psi_grid[0], psi_grid[len(psi_grid) // 2], psi_grid[-1]):
+                pa, pb = _constrained_point(expect.constraint, t)
+                _, ratio_num = evaluate_pair(alice_kind, bob_kind, pa, pb)
+                if abs(ratio_num / expect.constrained_ratio(pa, pb) - 1.0) > tol:
+                    failures.append(f"{name}/{proto}: constrained ratio mismatch at t={t:.6f}")
+    return failures
+
+
+def _constrained_point(constraint: str, t: float) -> tuple[float, float]:
+    if constraint == "any":
+        return t, t * 0.8 + 0.1
+    for family in _FEASIBLE_FAMILIES:
+        if family.label == constraint:
+            return family.points(t, 0)
+    raise ValueError(f"no sample point rule for constraint {constraint!r}")
+
+
+def _outcome(fn, *args):
+    """The repr of what ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", repr(fn(*args))
+    except Exception as exc:  # the exception is the outcome
+        return "raised", type(exc), str(exc)
+
+
+# Grids anywhere in [-4, 4], exact multiples of pi/2 included, and jittered
+# grids on the principal branch like the benchmark's.
+_ANY_GRID = st.lists(_BIAS, min_size=1, max_size=40)
+_PRINCIPAL_GRID = st.lists(st.floats(0.1, 0.9), min_size=1, max_size=40).map(
+    lambda jitter: [
+        0.03 + (math.pi / 2 - 0.06) / len(jitter) * (i + x) for i, x in enumerate(jitter)
+    ]
+)
+
+
+class TestStackedEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(ROW_ORDER), st.one_of(_ANY_GRID, _PRINCIPAL_GRID))
+    def test_matches_the_per_candidate_classifier(self, pairing, grid):
+        alice_kind, bob_kind = pairing
+        expected = _outcome(reference_classify_pair, alice_kind, bob_kind, grid)
+        assert _outcome(classify_pair, alice_kind, bob_kind, grid) == expected
+        if expected[0] == "raised":
+            return
+        row = classify_pair(alice_kind, bob_kind, grid)
+        assert _outcome(compare_row_with_reference, alice_kind, bob_kind, row, grid) == (
+            _outcome(reference_compare_row, alice_kind, bob_kind, row, grid)
+        )
+
+    def test_fixed_number_of_array_evaluations(self, monkeypatch):
+        calls = []
+        original = protocols._unit_coeffs
+
+        def counting(alice_kind, bob_kind, u_a, u_b):
+            if isinstance(u_a, np.ndarray) or isinstance(u_b, np.ndarray):
+                calls.append((alice_kind, bob_kind))
+            return original(alice_kind, bob_kind, u_a, u_b)
+
+        monkeypatch.setattr(protocols, "_unit_coeffs", counting)
+        for alice_kind, bob_kind in ROW_ORDER:
+            row = classify_pair(alice_kind, bob_kind, GRID)
+            # the grid, the stacked families, and the nudged lattice when a
+            # zero-visibility locus is dead, which it never is for PM-PM
+            assert len(calls) <= 3
+            assert len(calls) == 2 or (alice_kind, bob_kind) != (PM, PM)
+            calls.clear()
+            assert compare_row_with_reference(alice_kind, bob_kind, row, GRID) == []
+            assert len(calls) == 1
+            calls.clear()
