@@ -297,6 +297,13 @@ class TestGoldenRuns:
                 assert abs(v - r) <= 1e-12
 
 
+    def test_qkd(self, capsys):
+        # counts come from one seeded multinomial draw, so every digit is pinned
+        want = (pathlib.Path(__file__).parent / "data" / "qkd.json").read_text()
+        assert main(["qkd"]) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestTable2Command:
     def test_output_matches_golden_run(self, capsys):
         # reported values come from scalar evaluation, so every digit is pinned
