@@ -19,14 +19,7 @@ from .errors import (
     TruncationError,
 )
 from .harmonics import exact_tandem_spectrum, small_signal_error
-from .link import (
-    LinkSpec,
-    interference_coeffs,
-    phase_offset,
-    sideband_powers,
-    sideband_powers_direct,
-    visibility,
-)
+from .link import LinkSpec, interference_coeffs, sideband_powers, sideband_powers_direct
 from .modulator import (
     ModulatorKind,
     ModulatorSpec,
@@ -58,11 +51,9 @@ __all__ = [
     "index_from_voltage",
     "interference_coeffs",
     "make_modulator",
-    "phase_offset",
     "qber_vs_offset",
     "run_session",
     "sideband_powers",
     "sideband_powers_direct",
     "small_signal_error",
-    "visibility",
 ]

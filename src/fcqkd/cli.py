@@ -75,19 +75,16 @@ def _csv(header: list[str], rows: list[list[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_json(command: str, header: list[str], rows: list[list[float]]) -> str:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "columns": header,
-        "rows": rows,
-    }
-    return json.dumps(payload, indent=2)
+def _json(command: str, **fields) -> str:
+    """A command's JSON document: the schema version and command name, then ``fields``."""
+    return json.dumps(
+        {"schema_version": SCHEMA_VERSION, "command": command, **fields}, indent=2
+    )
 
 
 def _emit(command, header, rows, fmt, out_path) -> None:
     if fmt == "json":
-        _write(_rows_json(command, header, rows), out_path)
+        _write(_json(command, columns=header, rows=rows), out_path)
     else:
         _write(_csv(header, rows), out_path)
 
@@ -117,7 +114,14 @@ def _fringe_offset(cfg: RunConfig) -> tuple[float, float]:
 
 def _bob_phi_for(cfg: RunConfig, offset: float, delta_phi: float) -> float:
     """Bob's drive phase realizing the requested fringe argument."""
-    return delta_phi - cfg.link.link_phase - offset + cfg.alice.phi
+    phi = delta_phi - cfg.link.link_phase - offset + cfg.alice.phi
+    if not math.isfinite(phi):
+        raise InvalidParameterError(
+            f"Bob's drive phase is not finite: fringe argument {delta_phi!r} "
+            f"- [link] link_phase_rad {cfg.link.link_phase!r} - pairing offset {offset!r} "
+            f"+ [alice] phi {cfg.alice.phi!r}"
+        )
+    return phi
 
 
 def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
@@ -191,14 +195,15 @@ def cmd_table2(out_path: str | None) -> int:
         row = classify_pair(alice_kind, bob_kind, grid)
         rows.append(row)
         failures.extend(compare_row_with_reference(alice_kind, bob_kind, row, grid))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "table2",
-        "grid_points": len(grid) ** 2,
-        "rows": [_row_json(row) for row in rows],
-        "reference_check": {"pass": not failures, "failures": failures},
-    }
-    _write(json.dumps(payload, indent=2), out_path)
+    _write(
+        _json(
+            "table2",
+            grid_points=len(grid) ** 2,
+            rows=[_row_json(row) for row in rows],
+            reference_check={"pass": not failures, "failures": failures},
+        ),
+        out_path,
+    )
     if failures:
         for failure in failures:
             print(f"table2 mismatch: {failure}", file=sys.stderr)
@@ -208,25 +213,20 @@ def cmd_table2(out_path: str | None) -> int:
 
 def cmd_verify(max_m: float, out_path: str | None) -> int:
     reports = survey_all(max_m)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "drive_index": max_m,
-        "pairs": [
-            {
-                "alice": r.alice_kind.value,
-                "bob": r.bob_kind.value,
-                "worst_relative_error": r.worst_error,
-                "bound": r.bound,
-                "lattice_points": r.points,
-                "pass": r.within_bound,
-            }
-            for r in reports
-        ],
-        "pass": all(r.within_bound for r in reports),
-    }
-    _write(json.dumps(payload, indent=2), out_path)
-    if not payload["pass"]:
+    passed = all(r.within_bound for r in reports)
+    pairs = [
+        {
+            "alice": r.alice_kind.value,
+            "bob": r.bob_kind.value,
+            "worst_relative_error": r.worst_error,
+            "bound": r.bound,
+            "lattice_points": r.points,
+            "pass": r.within_bound,
+        }
+        for r in reports
+    ]
+    _write(_json("verify", drive_index=max_m, pairs=pairs, **{"pass": passed}), out_path)
+    if not passed:
         for r in reports:
             if not r.within_bound:
                 print(
@@ -245,6 +245,8 @@ def cmd_qkd(cfg: RunConfig, seed: int | None, out_path: str | None) -> int:
     if seed is not None:
         session = dataclasses.replace(session, seed=seed)
     stats = run_session(session)
+    # One dict literal, not _json: its keyword dict would sit beside the
+    # payload and raise the keyexchange benchmark's peak memory.
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "qkd",
@@ -307,32 +309,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return default_config()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            cfg = _load(args)
-            fmt = args.format or cfg.out_format or "csv"
-            return cmd_sweep(cfg, fmt, args.out or cfg.out_path)
-        if args.command == "spectrum":
-            cfg = _load(args)
-            fmt = args.format or cfg.out_format or "csv"
-            return cmd_spectrum(cfg, args.delta_phi, args.order, fmt, args.out or cfg.out_path)
         if args.command == "table2":
             return cmd_table2(args.out)
         if args.command == "verify":
             return cmd_verify(args.max_m, args.out)
+        cfg = load_config(args.config) if args.config else default_config()
+        out_path = args.out or cfg.out_path
         if args.command == "qkd":
-            cfg = _load(args)
-            return cmd_qkd(cfg, args.seed, args.out or cfg.out_path)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_qkd(cfg, args.seed, out_path)
+        fmt = args.format or cfg.out_format or "csv"
+        if args.command == "sweep":
+            return cmd_sweep(cfg, fmt, out_path)
+        return cmd_spectrum(cfg, args.delta_phi, args.order, fmt, out_path)
     except (ConfigError, InvalidParameterError, InfeasibleProtocolError,
             DegenerateConfigurationError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,6 @@ from .modulator import (
 from .montecarlo import SessionConfig
 
 _SECTION_KEYS = {
-    "source": {"wavelength_nm", "power_dbm"},
     "alice": {"kind", "v_pi_volts", "v_rf_volts", "m", "v_dc_volts", "psi", "phi"},
     "bob": {"kind", "v_pi_volts", "v_rf_volts", "m", "v_dc_volts", "psi", "phi"},
     "link": {"rf_ghz", "link_phase_rad", "loss"},
@@ -38,13 +37,9 @@ _SECTION_KEYS = {
 # Every sweep step is one output row held in memory until the sweep is written.
 MAX_SWEEP_STEPS = 100_000
 
-# Matches the bench this model was written around: 15 GHz drive, a 1550 nm
-# source at 5 dBm, and half-wave voltages of 5.5 V (UM) / 7.4 V (PM).
+# Matches the bench this model was written around: 15 GHz drive and
+# half-wave voltages of 5.5 V (UM) / 7.4 V (PM).
 DEFAULT_CONFIG = """\
-[source]
-wavelength_nm = 1550
-power_dbm = 5
-
 [alice]
 kind = UM
 v_pi_volts = 5.5
@@ -82,8 +77,6 @@ seed = 7
 
 @dataclass(frozen=True)
 class RunConfig:
-    wavelength_nm: float
-    power_dbm: float
     alice: ModulatorSpec
     bob: ModulatorSpec
     link: LinkSpec
@@ -172,11 +165,6 @@ def parse_config(text: str) -> RunConfig:
         if required not in parser:
             raise ConfigError(f"missing section [{required}]")
 
-    wavelength, power = 1550.0, 5.0
-    if "source" in parser:
-        wavelength = _get_float(parser["source"], "wavelength_nm", 1550.0)
-        power = _get_float(parser["source"], "power_dbm", 5.0)
-
     alice = _parse_modulator(parser["alice"])
     bob = _parse_modulator(parser["bob"])
 
@@ -233,8 +221,6 @@ def parse_config(text: str) -> RunConfig:
         out_path = out.get("path")
 
     return RunConfig(
-        wavelength_nm=wavelength,
-        power_dbm=power,
         alice=alice,
         bob=bob,
         link=link,

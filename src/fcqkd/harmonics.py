@@ -70,28 +70,25 @@ class HarmonicSpectrum:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-def default_order(*mods: ModulatorSpec) -> int:
-    """Truncation order with comfortable headroom for the given drives."""
-    m_max = max((max(m.m1, m.m2) for m in mods), default=0.0)
-    order = math.ceil(3.0 * m_max) + 8
-    if order > MAX_ORDER:
-        raise InvalidParameterError(
-            f"drive index {m_max} needs order {order}, above the supported maximum {MAX_ORDER}"
-        )
-    return order
-
-
-def _require_order(order: int, *mods: ModulatorSpec) -> None:
-    if order > MAX_ORDER:
+def _checked_order(order: int | None, alice: ModulatorSpec, bob: ModulatorSpec) -> int:
+    """``order``, or by default one with comfortable headroom, checked against the drives."""
+    m_max = max(alice.m1, alice.m2, bob.m1, bob.m2)
+    if order is None:
+        order = math.ceil(3.0 * m_max) + 8
+        if order > MAX_ORDER:
+            raise InvalidParameterError(
+                f"drive index {m_max} needs order {order}, above the supported maximum {MAX_ORDER}"
+            )
+    elif order > MAX_ORDER:
         raise InvalidParameterError(
             f"order {order} above the supported maximum {MAX_ORDER}"
         )
-    m_max = max((max(m.m1, m.m2) for m in mods), default=0.0)
     if order < 3.0 * m_max + 5.0:
         raise TruncationError(
             f"order {order} too low for modulation depth {m_max} "
             f"(need at least {3.0 * m_max + 5.0:.1f})"
         )
+    return order
 
 
 def _field(
@@ -136,21 +133,6 @@ def _spectrum(rows: np.ndarray, order: int) -> np.ndarray:
     return coeffs
 
 
-def _row_spectrum(samples: np.ndarray, order: int) -> HarmonicSpectrum:
-    coeffs = _spectrum(samples[None], order)[0]
-    return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
-
-
-def exact_modulator_spectrum(
-    mod: ModulatorSpec, order: int | None = None
-) -> HarmonicSpectrum:
-    """Full harmonic spectrum of one modulator driven at index m1/m2."""
-    if order is None:
-        order = default_order(mod)
-    _require_order(order, mod)
-    return _row_spectrum(_field(mod, _phases(order)), order)
-
-
 def _link_samples(
     alice: ModulatorSpec, bob: ModulatorSpec, link: LinkSpec, order: int | None
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -159,9 +141,7 @@ def _link_samples(
     The tandem field is Alice's field, delayed by the span and scaled by
     sqrt(loss), times Bob's.
     """
-    if order is None:
-        order = default_order(alice, bob)
-    _require_order(order, alice, bob)
+    order = _checked_order(order, alice, bob)
     theta = _phases(order)
     bob_field = _field(bob, theta)
     delayed = _field(alice, theta, link.link_phase, math.sqrt(link.loss))
@@ -176,7 +156,8 @@ def exact_tandem_spectrum(
 ) -> HarmonicSpectrum:
     """Exact output spectrum of the full Alice-link-Bob cascade."""
     order, _, _, tandem = _link_samples(alice, bob, link, order)
-    return _row_spectrum(tandem, order)
+    coeffs = _spectrum(tandem[None], order)[0]
+    return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
 
 
 def _weights(

@@ -38,8 +38,9 @@ class LinkSpec:
     """Dispersion-compensated fiber span.
 
     Only the accumulated RF-scale phase ``link_phase`` (= Omega * beta1 * L)
-    and a flat power transmittance enter the band amplitudes;
-    ``rf_frequency`` (rad/s) is kept for spectrum labeling.
+    and a flat power transmittance enter the band amplitudes.  Nothing in
+    the package reads ``rf_frequency`` (rad/s); the ``spectrum`` command
+    labels its bins from the config's ``[link] rf_ghz``.
     """
 
     rf_frequency: float

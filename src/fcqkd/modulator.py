@@ -93,11 +93,6 @@ class ModulatorSpec:
                 f"{self.kind.value} requires eps1:eps2 = {e1}:{e2} and m2 = {share} * m1"
             )
 
-    @property
-    def beyond_low_modulation(self) -> bool:
-        """Diagnostic flag: drive exceeds the small-signal regime."""
-        return max(self.m1, self.m2) > LOW_MODULATION_LIMIT
-
 
 class ThreeBandField(NamedTuple):
     """Complex amplitudes at the carrier and the two first-order sidebands."""
@@ -105,9 +100,6 @@ class ThreeBandField(NamedTuple):
     carrier: complex
     lower: complex
     upper: complex
-
-    def total_power(self) -> float:
-        return abs(self.carrier) ** 2 + abs(self.lower) ** 2 + abs(self.upper) ** 2
 
 
 def make_modulator(

@@ -136,6 +136,8 @@ def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> np.ndarray:
     Shape (rows, columns, 4), summing to 1; raises
     :class:`InfeasibleProtocolError` if the pairing cannot run the protocol.
     """
+    if not math.isfinite(phase_error):
+        raise InvalidParameterError(f"phase_error must be finite, got {phase_error!r}")
     feasibility = check_protocol(cfg.alice, cfg.bob, cfg.protocol)
     if not feasibility.feasible:
         raise _infeasible(cfg, feasibility.failure_reason)

@@ -102,24 +102,6 @@ def pair_bound(alice_kind: ModulatorKind, bob_kind: ModulatorKind, m: float) -> 
     return GENERIC_ERROR_COEFF * m * m
 
 
-def survey_pair(
-    alice_kind: ModulatorKind, bob_kind: ModulatorKind, m: float
-) -> PairReport:
-    points = lattice_points(alice_kind, bob_kind, m)
-    worst = 0.0
-    for alice, bob, link in points:
-        err_up, err_low = small_signal_error(alice, bob, link)
-        worst = max(worst, err_up, err_low)
-    return PairReport(
-        alice_kind=alice_kind,
-        bob_kind=bob_kind,
-        drive_index=m,
-        worst_error=worst,
-        bound=pair_bound(alice_kind, bob_kind, m),
-        points=len(points),
-    )
-
-
 def survey_all(max_m: float) -> list[PairReport]:
     """Worst first-order error per pairing at drive index ``max_m``."""
     if not (0.0 < max_m <= LOW_MODULATION_LIMIT):
@@ -127,4 +109,20 @@ def survey_all(max_m: float) -> list[PairReport]:
             f"drive index {max_m} outside the supported regime "
             f"(0, {LOW_MODULATION_LIMIT}]"
         )
-    return [survey_pair(a, b, max_m) for a, b in KIND_PAIRS]
+    reports = []
+    for alice_kind, bob_kind in KIND_PAIRS:
+        points = lattice_points(alice_kind, bob_kind, max_m)
+        worst = 0.0
+        for point in points:
+            worst = max(worst, *small_signal_error(*point))
+        reports.append(
+            PairReport(
+                alice_kind=alice_kind,
+                bob_kind=bob_kind,
+                drive_index=max_m,
+                worst_error=worst,
+                bound=pair_bound(alice_kind, bob_kind, max_m),
+                points=len(points),
+            )
+        )
+    return reports

@@ -18,13 +18,13 @@ from fcqkd import (
     LinkSpec,
     ModulatorKind,
     SessionConfig,
+    exact_tandem_spectrum,
     make_modulator,
     run_session,
     sideband_powers,
     sideband_powers_direct,
 )
 from fcqkd.cli import main, table_grid
-from fcqkd.harmonics import exact_modulator_spectrum
 from fcqkd.montecarlo import offset_seed
 from fcqkd.protocols import ROW_ORDER, check_protocol, classify_pair, compare_row_with_reference
 from fcqkd.verification import FROZEN_WORST, survey_all
@@ -265,6 +265,9 @@ def test_criterion_7_monte_carlo_session():
 
 def test_criterion_8_energy_conservation():
     for m in (0.1, 0.5, 1.0):
-        spectrum = exact_modulator_spectrum(make_modulator(PM, m))
+        # an undriven Bob over a lossless span passes Alice's field unchanged
+        spectrum = exact_tandem_spectrum(
+            make_modulator(PM, m), make_modulator(PM, 0.0), LinkSpec(rf_frequency=RF)
+        )
         assert abs(spectrum.total_power() - 1.0) <= 1e-12
     _report("8 exact-spectrum energy conservation")

@@ -45,6 +45,16 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+def assert_drive_phase_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: Bob's drive phase is not finite: fringe argument 1e+308 "
+        "- [link] link_phase_rad 0.0 - pairing offset "
+    )
+    assert captured.err.endswith(" + [alice] phi 1e+308\n")
+
+
 class TestConfigParsing:
     def test_default_config_loads(self):
         cfg = default_config()
@@ -71,6 +81,14 @@ class TestConfigParsing:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[detector]\nefficiency = 1\n")
+
+    def test_source_section_rejected(self, tmp_path, capsys):
+        # source wavelength and power reached no computed quantity
+        path = write_config(tmp_path, "[source]\nwavelength_nm = 1550\n\n" + BB84_CONFIG)
+        assert main(["sweep", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown section [source]\n"
 
     def test_conflicting_drive_keys_rejected(self):
         with pytest.raises(ConfigError, match="exactly one"):
@@ -176,6 +194,13 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == "error: [sweep] start, stop and stop - start must be finite\n"
 
+    def test_overflowing_drive_phase_names_its_inputs(self, tmp_path, capsys):
+        # the finite start and Alice's finite phi sum to an infinite Bob phase
+        text = BB84_CONFIG.replace("psi = 0.0\n", "psi = 0.0\nphi = 1e308\n", 1)
+        path = write_config(tmp_path, text + "\n[sweep]\nstart = 1e308\nstop = 1.5e308\n")
+        assert main(["sweep", "--config", path]) == 2
+        assert_drive_phase_error(capsys)
+
 
 class TestSpectrumCommand:
     def test_bright_fringe_shows_sidebands(self, capsys):
@@ -213,6 +238,12 @@ class TestSpectrumCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --delta-phi must be finite, got {float(delta_phi)!r}\n"
+
+    def test_overflowing_drive_phase_names_its_inputs(self, tmp_path, capsys):
+        text = BB84_CONFIG.replace("psi = 0.0\n", "psi = 0.0\nphi = 1e308\n", 1)
+        path = write_config(tmp_path, text)
+        assert main(["spectrum", "--config", path, "--delta-phi", "1e308"]) == 2
+        assert_drive_phase_error(capsys)
 
     @pytest.mark.parametrize("order", ["171", "100000"])
     def test_order_above_cap_is_a_parameter_error(self, capsys, order):

@@ -18,7 +18,6 @@ from fcqkd import (
     small_signal_error,
 )
 from fcqkd import harmonics
-from fcqkd.harmonics import default_order, exact_modulator_spectrum
 from fcqkd.modulator import band_amplitudes, carrier_amplitude, sideband_factor
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
@@ -28,9 +27,14 @@ def link(phase=0.0, loss=1.0):
     return LinkSpec(rf_frequency=1.0, link_phase=phase, loss=loss)
 
 
+def solo_spectrum(mod, order=None):
+    """One modulator's spectrum: the tandem's with an undriven Bob over a lossless span."""
+    return exact_tandem_spectrum(mod, make_modulator(PM, 0.0), link(), order)
+
+
 def assert_jacobi_anger(x):
     """A PM driven at x has harmonics j^k J_k(x), negative orders included."""
-    spectrum = exact_modulator_spectrum(make_modulator(PM, x))
+    spectrum = solo_spectrum(make_modulator(PM, x))
     for k in range(-spectrum.order, spectrum.order + 1):
         assert spectrum.amp(k) == pytest.approx(
             1j**k * float(scipy.special.jv(k, x)), rel=1e-12, abs=1e-14
@@ -41,7 +45,7 @@ class TestBessel:
     """The PM spectrum holds the Bessel values of the Jacobi-Anger expansion."""
 
     def test_at_zero(self):
-        spectrum = exact_modulator_spectrum(make_modulator(PM, 0.0))
+        spectrum = solo_spectrum(make_modulator(PM, 0.0))
         assert spectrum.amp(0) == 1.0
         assert spectrum.amp(1) == 0.0
         assert spectrum.amp(5) == 0.0
@@ -51,7 +55,7 @@ class TestBessel:
         q = 0.1 * 0.1 / 4
         by_hand = 0.05 * (1 - q / 2 + q * q / 12 - q**3 / 144)
         assert by_hand == pytest.approx(0.049937526, abs=1e-9)
-        j1 = exact_modulator_spectrum(make_modulator(PM, 0.1)).amp(1) / 1j
+        j1 = solo_spectrum(make_modulator(PM, 0.1)).amp(1) / 1j
         assert j1 == pytest.approx(0.049937526, abs=1e-9)
 
     def test_beyond_former_clamp(self):
@@ -65,17 +69,17 @@ class TestBessel:
 
 class TestModulatorSpectrum:
     def test_unmodulated_is_carrier_only(self):
-        spectrum = exact_modulator_spectrum(make_modulator(PM, 0.0))
+        spectrum = solo_spectrum(make_modulator(PM, 0.0))
         assert spectrum.amp(0) == 1.0
         assert all(spectrum.power(k) == 0.0 for k in range(1, spectrum.order + 1))
 
     def test_pm_first_harmonic_magnitude(self):
-        spectrum = exact_modulator_spectrum(make_modulator(PM, 0.1))
+        spectrum = solo_spectrum(make_modulator(PM, 0.1))
         assert abs(spectrum.amp(1)) == pytest.approx(0.049937526, abs=1e-9)
         assert abs(spectrum.amp(-1)) == pytest.approx(0.049937526, abs=1e-9)
 
     def test_am_at_null_bias_kills_even_harmonics(self):
-        spectrum = exact_modulator_spectrum(make_modulator(AM, 0.3, math.pi / 2))
+        spectrum = solo_spectrum(make_modulator(AM, 0.3, math.pi / 2))
         for k in range(-spectrum.order, spectrum.order + 1):
             if k % 2 == 0:
                 assert spectrum.power(k) == pytest.approx(0.0, abs=1e-30)
@@ -84,17 +88,17 @@ class TestModulatorSpectrum:
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 1.0])
     def test_pure_pm_conserves_power(self, m):
-        spectrum = exact_modulator_spectrum(make_modulator(PM, m))
+        spectrum = solo_spectrum(make_modulator(PM, m))
         assert abs(spectrum.total_power() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("kind,psi", [(AM, 0.6), (UM, 0.3), (UM, 1.2)])
     def test_interferometric_output_bounded(self, kind, psi):
-        spectrum = exact_modulator_spectrum(make_modulator(kind, 0.8, psi))
+        spectrum = solo_spectrum(make_modulator(kind, 0.8, psi))
         assert spectrum.total_power() <= 1.0 + 1e-12
 
     def test_order_precondition(self):
         with pytest.raises(TruncationError):
-            exact_modulator_spectrum(make_modulator(PM, 1.0), order=6)
+            solo_spectrum(make_modulator(PM, 1.0), order=6)
 
     def test_small_signal_limit(self):
         # first harmonics converge to the first-order bands at rate >= m^2,
@@ -102,7 +106,7 @@ class TestModulatorSpectrum:
         deviations = []
         for m in (0.02, 0.04, 0.08):
             mod = make_modulator(UM, m, 0.4, 0.7)
-            spectrum = exact_modulator_spectrum(mod)
+            spectrum = solo_spectrum(mod)
             bands = band_amplitudes(mod)
             dev = max(
                 abs(spectrum.amp(1) - bands.upper), abs(spectrum.amp(-1) - bands.lower)
@@ -116,7 +120,7 @@ class TestModulatorSpectrum:
     def test_first_harmonic_within_quarter_square_bound(self, kind):
         for m in (0.02, 0.05, 0.1):
             mod = make_modulator(kind, m, 0.4, 0.2)
-            spectrum = exact_modulator_spectrum(mod)
+            spectrum = solo_spectrum(mod)
             bands = band_amplitudes(mod)
             dev = abs(spectrum.amp(1) - bands.upper) / abs(bands.upper)
             assert dev <= m * m / 4
@@ -134,7 +138,7 @@ class TestTandemSpectrum:
         alice = make_modulator(UM, 0.2, 0.5, 0.9)
         ln = link(0.7, 0.6)
         tandem = exact_tandem_spectrum(alice, make_modulator(PM, 0.0), ln)
-        solo = exact_modulator_spectrum(alice, tandem.order)
+        solo = solo_spectrum(alice, tandem.order)
         for k in range(-tandem.order, tandem.order + 1):
             propagated = math.sqrt(ln.loss) * cmath.exp(-1j * k * ln.link_phase) * solo.amp(k)
             assert tandem.amp(k) == pytest.approx(propagated, abs=1e-15)
@@ -188,8 +192,9 @@ class TestTandemSpectrum:
         assert exact_tandem_spectrum(alice, bob, link(), order=11).order == 11
 
     def test_default_order_scales_with_drive(self):
-        assert default_order(make_modulator(PM, 0.1)) == 9
-        assert default_order(make_modulator(PM, 1.0), make_modulator(PM, 0.2)) == 11
+        assert solo_spectrum(make_modulator(PM, 0.1)).order == 9
+        spectrum = exact_tandem_spectrum(make_modulator(PM, 1.0), make_modulator(PM, 0.2), link())
+        assert spectrum.order == 11
 
 
 def bessel_weights(alice, bob):

@@ -13,12 +13,10 @@ from fcqkd import (
     PhaseUndefinedError,
     interference_coeffs,
     make_modulator,
-    phase_offset,
     sideband_powers,
     sideband_powers_direct,
-    visibility,
 )
-from fcqkd.link import _fringe, cascade, propagate
+from fcqkd.link import _fringe, cascade, phase_offset, propagate, visibility
 from fcqkd.modulator import ThreeBandField, band_amplitudes
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
@@ -69,7 +67,9 @@ class TestPropagate:
     def test_lossless_power_conservation(self, phase, arg):
         field = ThreeBandField(0.7 * cmath.exp(1j * arg), 0.2j, 0.1 - 0.05j)
         out = propagate(field, link(phase, 1.0))
-        assert out.total_power() == pytest.approx(field.total_power(), rel=1e-12)
+        assert sum(abs(x) ** 2 for x in out) == pytest.approx(
+            sum(abs(x) ** 2 for x in field), rel=1e-12
+        )
 
 
 class TestCascade:
@@ -279,3 +279,40 @@ class TestSidebandPowers:
             direct = sideband_powers_direct(alice, bob, link(0.5, loss))
             assert closed[0] == pytest.approx(direct[0], abs=1e-12)
             assert closed == pytest.approx(sideband_powers(alice, bob, link(0.5, 1.0)))
+
+
+class TestFringeInvariants:
+    """Symmetries of the fringe law, over all nine pairings."""
+
+    @given(
+        st.sampled_from(KINDS), st.sampled_from(KINDS),
+        indices, indices, angles, angles, angles, angles,
+    )
+    def test_swapping_alice_and_bob_negates_the_offset(self, ka, kb, ma, mb, pa, pb, fa, fb):
+        alice = make_modulator(ka, ma, pa, fa)
+        bob = make_modulator(kb, mb, pb, fb)
+        a, b = interference_coeffs(alice, bob)
+        assume(min(abs(a), abs(b)) > 1e-9)
+        _, _, vis, offset = _fringe(alice, bob)
+        _, _, vis_swapped, offset_swapped = _fringe(bob, alice)
+        assert vis_swapped == vis
+        assert abs(math.remainder(offset + offset_swapped, math.tau)) <= 1e-15
+
+    @given(
+        st.sampled_from(KINDS), st.sampled_from(KINDS),
+        indices, indices, angles, angles, angles, angles, angles, angles,
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_link_phase_moves_into_bobs_drive_phase(
+        self, ka, kb, ma, mb, pa, pb, fa, fb, phase, delta, loss
+    ):
+        alice = make_modulator(ka, ma, pa, fa)
+        bob = make_modulator(kb, mb, pb, fb)
+        a, b = interference_coeffs(alice, bob)
+        assume(min(abs(a), abs(b)) > 1e-9)
+        shifted_bob = make_modulator(kb, mb, pb, fb + delta)
+        for powers in (sideband_powers, sideband_powers_direct):
+            moved = powers(alice, bob, link(phase + delta, loss))
+            same = powers(alice, shifted_bob, link(phase, loss))
+            assert moved[0] == pytest.approx(same[0], abs=1e-12)
+            assert moved[1] == pytest.approx(same[1], abs=1e-12)

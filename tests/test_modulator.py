@@ -75,12 +75,6 @@ def test_constructor_invariants(kind, m, psi, phi):
         assert spec.eps1 == spec.eps2 and spec.m1 == spec.m2
     else:
         assert spec.eps1 == spec.eps2 and spec.m2 == 0.0
-    assert not spec.beyond_low_modulation
-
-
-def test_low_modulation_flag():
-    assert make_modulator(ModulatorKind.PM, 0.3).beyond_low_modulation
-    assert not make_modulator(ModulatorKind.PM, 0.2).beyond_low_modulation
 
 
 def test_index_from_voltage():

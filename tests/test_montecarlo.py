@@ -177,6 +177,18 @@ def test_unsamplable_config_rejected(bad):
         bb84_config(**bad)
 
 
+@pytest.mark.parametrize("phase_error", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_error_rejected(phase_error):
+    cfg = bb84_config()
+    for call in (
+        lambda: run_session(cfg, phase_error),
+        lambda: expected_counts(cfg, phase_error),
+        lambda: qber_vs_offset(cfg, [0.0, phase_error]),
+    ):
+        with pytest.raises(InvalidParameterError, match="phase_error must be finite"):
+            call()
+
+
 def test_expected_counts_match_mean_over_seeds():
     # dark counts and an uncompensated phase make every count nonzero
     for cfg_maker in (bb84_config, b92_config):

@@ -13,8 +13,8 @@ PUBLIC_NAMES = {
     "ModulatorSpec", "PhaseUndefinedError", "SessionConfig", "TruncationError",
     "bias_phase_from_voltage", "classify_pair", "exact_tandem_spectrum",
     "expected_counts", "index_from_voltage", "interference_coeffs", "make_modulator",
-    "phase_offset", "qber_vs_offset", "run_session", "sideband_powers",
-    "sideband_powers_direct", "small_signal_error", "visibility",
+    "qber_vs_offset", "run_session", "sideband_powers", "sideband_powers_direct",
+    "small_signal_error",
 }
 
 # Module attributes bench/ reaches by name; renaming one breaks the benchmark.
@@ -34,7 +34,7 @@ BENCH_CONTRACT = {
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(fcqkd.__all__) == len(set(fcqkd.__all__)) == 27
+    assert len(fcqkd.__all__) == len(set(fcqkd.__all__)) == 25
     assert set(fcqkd.__all__) == PUBLIC_NAMES
     for name in fcqkd.__all__:
         assert hasattr(fcqkd, name)

@@ -15,7 +15,6 @@ from fcqkd.verification import (
     lattice_points,
     pair_bound,
     survey_all,
-    survey_pair,
 )
 
 
@@ -61,10 +60,18 @@ def test_lattice_without_fringe_keeps_the_first_points(monkeypatch):
     assert [(a.phi, b.phi) for a, b, _ in points] == list(verification._PHASE_CANDIDATES[:4])
 
 
-def test_survey_pair_within_frozen_bound():
-    report = survey_pair(ModulatorKind.UM, ModulatorKind.AM, 0.1)
-    assert report.within_bound
-    assert 0.0 < report.worst_error <= report.bound
+def test_pair_reports_within_frozen_bound():
+    reports = survey_all(0.1)
+    assert [(r.alice_kind, r.bob_kind) for r in reports] == list(KIND_PAIRS)
+    for report in reports:
+        assert report.within_bound
+        assert 0.0 < report.worst_error <= report.bound
+
+
+def test_empty_lattice_reports_zero_error(monkeypatch):
+    monkeypatch.setattr(verification, "lattice_points", lambda *pairing: [])
+    for report in survey_all(0.1):
+        assert report.worst_error == 0.0 and report.points == 0
 
 
 def test_generic_bound_for_unfrozen_index():
