@@ -175,6 +175,10 @@ def parse_config(text: str) -> RunConfig:
         loss = _get_float(link_section, "loss", 1.0)
     else:
         rf_ghz, link_phase, loss = 15.0, 0.0, 1.0
+    if not (rf_ghz > 0.0 and math.isfinite(math.tau * rf_ghz * 1e9)):
+        raise ConfigError(
+            f"[link] rf_ghz must be positive, with 2*pi*rf_ghz*1e9 rad/s finite, got {rf_ghz!r}"
+        )
     link = LinkSpec(rf_frequency=math.tau * rf_ghz * 1e9, link_phase=link_phase, loss=loss)
 
     sweep_start, sweep_stop, sweep_steps = 0.0, math.tau, 64

@@ -15,13 +15,17 @@ every coefficient to machine precision, and one FFT yields them all
 SIAM Review 56(3), 2014; the Jacobi-Anger expansion
 exp(j*m*cos x) = sum_k j^k J_k(m) exp(j*k*x) is the identity it sums).
 
+Arm 2 is driven with m2 = 0 or m2 = m1, so a modulator's field takes one
+exp: with E = exp(j*m1*cos(theta + phi)), arm 2's factor is 1 or conj(E).
 Fields are sampled as rows on one phase grid per transform size, and one
-FFT call transforms every row at once: a small-signal error point stacks
+FFT call transforms every row at once.  A small-signal error point stacks
 Alice's field, Bob's field and the tandem product, and reads the exact
 interference weights (J_0 and J_1 of each modulator) and the tandem's
-first harmonics from that one transform.  The truncation rule applies to
-each row: the power outside |k| <= order must stay below 1e-12 of the
-row's total.
+first harmonics from that transform; the validity survey stacks all the
+points of one pairing into one such transform (a batch per pairing, not
+per survey, keeps its arrays small).  The truncation rule applies to each
+row: the power outside |k| <= order must stay below 1e-12 of the row's
+total.
 
 The same sideband conventions as the first-order model apply, so the
 k = +/-1 lines converge to the small-signal band amplitudes as the drive
@@ -70,15 +74,20 @@ class HarmonicSpectrum:
         return float(np.sum(np.abs(self.amps) ** 2))
 
 
-def _checked_order(order: int | None, alice: ModulatorSpec, bob: ModulatorSpec) -> int:
-    """``order``, or by default one with comfortable headroom, checked against the drives."""
-    m_max = max(alice.m1, alice.m2, bob.m1, bob.m2)
+def _checked_order(order: int | None, m_max: float) -> int:
+    """``order``, or by default one with comfortable headroom, checked against the drive.
+
+    ``m_max`` is the largest drive index the transform has to hold.  An
+    explicit order must be an integer (Python or numpy, not ``bool``).
+    """
     if order is None:
         order = math.ceil(3.0 * m_max) + 8
         if order > MAX_ORDER:
             raise InvalidParameterError(
                 f"drive index {m_max} needs order {order}, above the supported maximum {MAX_ORDER}"
             )
+    elif isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+        raise InvalidParameterError(f"order must be an integer, got {order!r}")
     elif order > MAX_ORDER:
         raise InvalidParameterError(
             f"order {order} above the supported maximum {MAX_ORDER}"
@@ -88,22 +97,42 @@ def _checked_order(order: int | None, alice: ModulatorSpec, bob: ModulatorSpec) 
             f"order {order} too low for modulation depth {m_max} "
             f"(need at least {3.0 * m_max + 5.0:.1f})"
         )
-    return order
+    return int(order)
 
 
-def _field(
-    mod: ModulatorSpec, theta: np.ndarray, delay: float = 0.0, scale: float = 1.0
-) -> np.ndarray:
-    """Two-arm output field of one modulator at the RF phases ``theta``.
+def _field_params(
+    mod: ModulatorSpec, delay: float, scale: float
+) -> tuple[float, float, complex, complex]:
+    """(drive phase, m1, arm-1 coefficient, arm-2 coefficient) of one modulator's field.
 
     ``delay`` retards the drive phase and ``scale`` multiplies the field;
-    both, with the bias phasor, fold into scalar coefficients first.
+    both, with the bias phasor, fold into the scalar coefficients.
     """
     u = scale * cmath.exp(1j * mod.psi)
-    drive = np.cos(theta + (mod.phi - delay))
-    return (mod.eps1 * u) * np.exp((1j * mod.m1) * drive) + (
-        mod.eps2 * u.conjugate()
-    ) * np.exp((-1j * mod.m2) * drive)
+    return mod.phi - delay, mod.m1, mod.eps1 * u, mod.eps2 * u.conjugate()
+
+
+def _field(theta: np.ndarray, phase, m, c1, c2, mirrored: bool) -> np.ndarray:
+    """Two-arm output field c1*E + c2*(conj(E) if ``mirrored`` else 1) at the RF phases ``theta``.
+
+    E = exp(j*m*cos(theta + phase)) is arm 1's phase factor.  Arm 2 is
+    driven with m2 = share*m1 and share 0 or 1 (``ModulatorSpec`` enforces
+    it), so its factor is 1 or conj(E) and one exp serves both arms.  The
+    parameters are numbers, or (P, 1) columns that give P rows.
+    """
+    drive = theta + phase
+    field = np.exp((1j * m) * np.cos(drive, out=drive))
+    # coefficient times field, in that order: with fused multiply-adds,
+    # complex products need not commute in the last bit
+    if mirrored:
+        arm2 = field.conjugate()
+        np.multiply(c2, arm2, out=arm2)
+        np.multiply(c1, field, out=field)
+        field += arm2
+    else:
+        np.multiply(c1, field, out=field)
+        field += c2
+    return field
 
 
 def _phases(order: int) -> np.ndarray:
@@ -113,39 +142,29 @@ def _phases(order: int) -> np.ndarray:
 
 
 def _spectrum(rows: np.ndarray, order: int) -> np.ndarray:
-    """Fourier coefficients of each row of fields sampled on ``_phases(order)``.
+    """Fourier coefficients of fields sampled on ``_phases(order)``, along the last axis.
 
-    Harmonic k of a row sits at index k mod n.  In every row the power in
-    the bins outside |k| <= order must stay below 1e-12 of the row's total,
-    or the order is too low for the drive.
+    The transform overwrites ``rows``.  The fields carry its 1/n already (n is a power of two, so
+    folding it into a field's coefficient is exact).  Harmonic k of a row
+    sits at index k mod n.  In every row the power in the bins outside
+    |k| <= order must stay below 1e-12 of the row's total, or the order is
+    too low for the drive.
     """
     n = rows.shape[-1]
-    coeffs = np.fft.fft(rows, norm="forward")
-    power = np.abs(coeffs) ** 2
-    total = power.sum(axis=-1)
-    tail = power[:, order + 1 : n - order].sum(axis=-1)
-    short = tail > _TAIL_ENERGY_RTOL * total
-    if short.any():
+    coeffs = np.fft.fft(rows, out=rows)
+    flat = coeffs.reshape(-1, n)
+    totals = np.vecdot(flat, flat).real.tolist()
+    tails = flat[:, order + 1 : n - order]
+    tails = np.vecdot(tails, tails).real.tolist()
+    worst = max(
+        (tail / total for tail, total in zip(tails, totals) if tail > _TAIL_ENERGY_RTOL * total),
+        default=0.0,
+    )
+    if worst:
         raise TruncationError(
-            f"truncated tail holds {np.max(tail[short] / total[short]):.3e} "
-            "of the power; raise the order"
+            f"truncated tail holds {worst:.3e} of the power; raise the order"
         )
     return coeffs
-
-
-def _link_samples(
-    alice: ModulatorSpec, bob: ModulatorSpec, link: LinkSpec, order: int | None
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Checked order, its RF phases, Bob's field and the tandem field.
-
-    The tandem field is Alice's field, delayed by the span and scaled by
-    sqrt(loss), times Bob's.
-    """
-    order = _checked_order(order, alice, bob)
-    theta = _phases(order)
-    bob_field = _field(bob, theta)
-    delayed = _field(alice, theta, link.link_phase, math.sqrt(link.loss))
-    return order, theta, bob_field, delayed * bob_field
 
 
 def exact_tandem_spectrum(
@@ -154,9 +173,17 @@ def exact_tandem_spectrum(
     link: LinkSpec,
     order: int | None = None,
 ) -> HarmonicSpectrum:
-    """Exact output spectrum of the full Alice-link-Bob cascade."""
-    order, _, _, tandem = _link_samples(alice, bob, link, order)
-    coeffs = _spectrum(tandem[None], order)[0]
+    """Exact output spectrum of the full Alice-link-Bob cascade.
+
+    The tandem field is Alice's field, delayed by the span and scaled by
+    sqrt(loss), times Bob's.
+    """
+    order = _checked_order(order, max(alice.m1, bob.m1))
+    theta = _phases(order)
+    scale = math.sqrt(link.loss) / theta.size
+    tandem = _field(theta, *_field_params(alice, link.link_phase, scale), bool(alice.m2))
+    tandem *= _field(theta, *_field_params(bob, 0.0, 1.0), bool(bob.m2))
+    coeffs = _spectrum(tandem, order)
     return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
 
 
@@ -174,6 +201,65 @@ def _weights(
     return complex(bob_row[0]) * a_sideband, complex(alice_row[0]) * b_sideband
 
 
+def _columns(params: list[tuple[float, float, complex, complex]]) -> tuple:
+    """The (phase, m, c1, c2) of ``_field_params`` tuples as (P, 1) columns.
+
+    A single arm stays four numbers: numpy broadcasts a number faster than
+    a (1, 1) column.
+    """
+    if len(params) == 1:
+        return params[0]
+    columns = np.array(params, dtype=complex)
+    return columns[:, :1].real, columns[:, 1:2].real, columns[:, 2:3], columns[:, 3:]
+
+
+def _error_points(
+    points: list[tuple[ModulatorSpec, ModulatorSpec, LinkSpec]], order: int | None = None
+) -> list[tuple[float, float]]:
+    """:func:`small_signal_error` of each (alice, bob, link) point, from one transform.
+
+    The points share one pairing, so each side's arm 2 follows arm 1 at
+    every point or at none.  The 3P rows are Alice's undelayed fields,
+    the tandem fields and Bob's fields, and the order is the one the
+    largest drive needs.
+    """
+    p_small = []
+    for alice, bob, link in points:
+        try:
+            p_small.append(sideband_powers(alice, bob, link))
+        except DegenerateConfigurationError as exc:
+            raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
+    order = _checked_order(order, max(max(alice.m1, bob.m1) for alice, bob, _ in points))
+    theta = _phases(order)
+    inv_n = 1.0 / theta.size
+    alice_mirrored = any(alice.m2 for alice, _, _ in points)
+    undelayed = [_field_params(alice, 0.0, inv_n) for alice, _, _ in points]
+    delayed = [
+        _field_params(alice, link.link_phase, math.sqrt(link.loss)) for alice, _, link in points
+    ]
+    bobs = [_field_params(bob, 0.0, inv_n) for _, bob, _ in points]
+    bob_fields = _field(theta, *_columns(bobs), any(bob.m2 for _, bob, _ in points))
+    tandems = _field(theta, *_columns(delayed), alice_mirrored)
+    tandems *= bob_fields
+    rows = np.array((_field(theta, *_columns(undelayed), alice_mirrored), tandems, bob_fields))
+    alice_rows, tandem_rows, bob_rows = _spectrum(rows, order).reshape(3, len(points), -1)
+    errors = []
+    for (alice, bob, link), alice_row, tandem, bob_row, small in zip(
+        points, alice_rows, tandem_rows, bob_rows, p_small
+    ):
+        e_a, e_b = _weights(alice, bob, alice_row, bob_row)
+        exact_norm = 2.0 * (abs(e_a) ** 2 + abs(e_b) ** 2) * link.loss
+        p_exact = (
+            abs(complex(tandem[1])) ** 2 / exact_norm,
+            abs(complex(tandem[-1])) ** 2 / exact_norm,
+        )
+        upper, lower = (
+            abs(pe - ps) / pe if pe > 1e-9 else abs(pe - ps) for pe, ps in zip(p_exact, small)
+        )
+        errors.append((upper, lower))
+    return errors
+
+
 def small_signal_error(
     alice: ModulatorSpec,
     bob: ModulatorSpec,
@@ -189,23 +275,4 @@ def small_signal_error(
     Relative error is reported where the exact power exceeds 1e-9; below
     that the absolute difference is returned instead.
     """
-    try:
-        p_small = sideband_powers(alice, bob, link)
-    except DegenerateConfigurationError as exc:
-        raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
-    order, theta, bob_field, tandem_field = _link_samples(alice, bob, link, order)
-    rows = np.array((_field(alice, theta), bob_field, tandem_field))
-    alice_row, bob_row, tandem = _spectrum(rows, order)
-    e_a, e_b = _weights(alice, bob, alice_row, bob_row)
-    exact_norm = 2.0 * (abs(e_a) ** 2 + abs(e_b) ** 2) * link.loss
-    p_exact = (
-        abs(complex(tandem[1])) ** 2 / exact_norm,
-        abs(complex(tandem[-1])) ** 2 / exact_norm,
-    )
-    errors = []
-    for pe, ps in zip(p_exact, p_small):
-        if pe > 1e-9:
-            errors.append(abs(pe - ps) / pe)
-        else:
-            errors.append(abs(pe - ps))
-    return errors[0], errors[1]
+    return _error_points([(alice, bob, link)], order)[0]

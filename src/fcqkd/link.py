@@ -202,16 +202,17 @@ def sideband_powers_direct(
     """Same powers evaluated from the explicit band cascade.
 
     Reference path for the closed form: |cascaded band|^2 divided by
-    2 * (|alice_coeff|^2 + |bob_coeff|^2) * loss, with both magnitudes
-    taken relative to sqrt(|alice_coeff|^2 + |bob_coeff|^2) so that no
-    drive index overflows the squares.
+    2 * (|alice_coeff|^2 + |bob_coeff|^2) * loss.  The coefficient
+    magnitudes come from the same bands, |alice_coeff| = |Bob's carrier| *
+    |Alice's upper band| and the reverse for Bob, and both are taken
+    relative to their hypot so that no drive index overflows the squares.
     """
-    a, b = interference_coeffs(alice, bob)
-    scale = math.hypot(abs(a), abs(b))
+    a, b = band_amplitudes(alice), band_amplitudes(bob)
+    scale = math.hypot(abs(b.carrier) * abs(a.upper), abs(a.carrier) * abs(b.upper))
     if scale == 0.0:
         raise DegenerateConfigurationError(
             "no sideband light: both interference coefficients are zero"
         )
     norm = 2.0 * link.loss
-    out = cascade(propagate(band_amplitudes(alice), link), band_amplitudes(bob))
+    out = cascade(propagate(a, link), b)
     return (abs(out.upper) / scale) ** 2 / norm, (abs(out.lower) / scale) ** 2 / norm

@@ -1,10 +1,11 @@
 """Small-signal validity sweep: first-order model vs exact harmonics.
 
 Runs :func:`fcqkd.harmonics.small_signal_error` over a fixed lattice of
-operating points for every modulator-kind pairing and reports the worst
-deviation per pairing.  Lattice points keep both sideband powers above a
-floor so the relative error is meaningful (near fringe nulls the relative
-deviation is unbounded by construction and says nothing about the regime).
+operating points for every modulator-kind pairing, one transform per
+pairing, and reports the worst deviation per pairing.  Lattice points keep
+both sideband powers above a floor so the relative error is meaningful
+(near fringe nulls the relative deviation is unbounded by construction and
+says nothing about the regime).
 
 ``FROZEN_WORST`` holds regression ceilings recorded from the first full
 run of this lattice; the ``verify`` CLI command and the acceptance suite
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError
-from .harmonics import small_signal_error
+from .harmonics import _error_points
 from .link import LinkSpec, _fringe, _fringe_powers
 from .modulator import LOW_MODULATION_LIMIT, ModulatorKind, make_modulator
 
@@ -112,9 +113,8 @@ def survey_all(max_m: float) -> list[PairReport]:
     reports = []
     for alice_kind, bob_kind in KIND_PAIRS:
         points = lattice_points(alice_kind, bob_kind, max_m)
-        worst = 0.0
-        for point in points:
-            worst = max(worst, *small_signal_error(*point))
+        errors = _error_points(points) if points else []
+        worst = max((max(pair) for pair in errors), default=0.0)
         reports.append(
             PairReport(
                 alice_kind=alice_kind,

@@ -105,6 +105,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="expected PM, AM or UM"):
             parse_config("[alice]\nkind = QM\nm = 0.1\npsi = 0\n\n[bob]\nkind = PM\nm = 0.1\npsi = 0\n")
 
+    @pytest.mark.parametrize("rf_ghz", ["0", "-1", "nan", "inf", "1e300"])
+    def test_bad_rf_frequency_names_the_key(self, tmp_path, capsys, rf_ghz):
+        # 1e300 is finite, but 2*pi*1e9 times it is not
+        text = BB84_CONFIG.replace("rf_ghz = 15.0", f"rf_ghz = {rf_ghz}")
+        assert main(["spectrum", "--config", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: [link] rf_ghz must be positive, with 2*pi*rf_ghz*1e9 rad/s finite, "
+            f"got {float(rf_ghz)!r}\n"
+        )
+
+    def test_largest_rf_frequency_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, BB84_CONFIG.replace("rf_ghz = 15.0", "rf_ghz = 1e290"))
+        assert main(["spectrum", "--config", path]) == 0
+        assert "1e+290" in capsys.readouterr().out
+
 
 class TestSweepCommand:
     def test_csv_columns_agree(self, tmp_path, capsys):

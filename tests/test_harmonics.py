@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,12 +10,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fcqkd import (
+    DegenerateConfigurationError,
     InvalidParameterError,
     LinkSpec,
     ModulatorKind,
+    ModulatorSpec,
     TruncationError,
     exact_tandem_spectrum,
     make_modulator,
+    sideband_powers,
+    sideband_powers_direct,
     small_signal_error,
 )
 from fcqkd import harmonics
@@ -272,3 +277,198 @@ class TestSmallSignalError:
         with pytest.raises(TruncationError):
             small_signal_error(alice, bob, link(), order=10)
         assert all(math.isfinite(e) for e in small_signal_error(alice, bob, link(), order=11))
+
+
+# --- the two-exp field and the per-point error, kept as the oracle ----------
+#
+# The reference samples each arm with its own exp, transforms one point's
+# three rows with norm="forward" and applies the tail rule through abs()**2.
+
+def reference_field(mod, theta, delay=0.0, scale=1.0):
+    u = scale * cmath.exp(1j * mod.psi)
+    drive = np.cos(theta + (mod.phi - delay))
+    return (mod.eps1 * u) * np.exp((1j * mod.m1) * drive) + (
+        mod.eps2 * u.conjugate()
+    ) * np.exp((-1j * mod.m2) * drive)
+
+
+def reference_spectrum(rows, order):
+    n = rows.shape[-1]
+    coeffs = np.fft.fft(rows, norm="forward")
+    power = np.abs(coeffs) ** 2
+    total = power.sum(axis=-1)
+    tail = power[:, order + 1 : n - order].sum(axis=-1)
+    short = tail > 1e-12 * total
+    if short.any():
+        raise TruncationError(f"truncated tail holds {np.max(tail[short] / total[short]):.3e}")
+    return coeffs
+
+
+def reference_error(alice, bob, ln, order):
+    try:
+        p_small = sideband_powers(alice, bob, ln)
+    except DegenerateConfigurationError as exc:
+        raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
+    theta = np.arange(1 << (4 * order + 1).bit_length())
+    theta = theta * (2.0 * math.pi / theta.size)
+    bob_field = reference_field(bob, theta)
+    tandem_field = reference_field(alice, theta, ln.link_phase, math.sqrt(ln.loss)) * bob_field
+    rows = np.array((reference_field(alice, theta), bob_field, tandem_field))
+    alice_row, bob_row, tandem = reference_spectrum(rows, order)
+    a_sideband = complex(alice_row[1]) * cmath.exp(-1j * alice.phi)
+    b_sideband = complex(bob_row[1]) * cmath.exp(-1j * bob.phi)
+    e_a, e_b = complex(bob_row[0]) * a_sideband, complex(alice_row[0]) * b_sideband
+    exact_norm = 2.0 * (abs(e_a) ** 2 + abs(e_b) ** 2) * ln.loss
+    p_exact = (
+        abs(complex(tandem[1])) ** 2 / exact_norm,
+        abs(complex(tandem[-1])) ** 2 / exact_norm,
+    )
+    return tuple(
+        abs(pe - ps) / pe if pe > 1e-9 else abs(pe - ps) for pe, ps in zip(p_exact, p_small)
+    )
+
+
+PAIRINGS = [(a, b) for a in (PM, AM, UM) for b in (PM, AM, UM)]
+ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
+COUPLING_SCALE = st.floats(min_value=0.1, max_value=10.0)
+
+
+def rescaled(mod, s):
+    """``mod`` with both couplings multiplied by ``s`` (ModulatorSpec allows it)."""
+    return ModulatorSpec(mod.kind, s * mod.eps1, s * mod.eps2, mod.m1, mod.m2, mod.psi, mod.phi)
+
+
+@st.composite
+def drives(draw, kind, min_m=0.0):
+    """A modulator of ``kind`` at a random drive, bias and drive phase, couplings rescaled."""
+    mod = make_modulator(
+        kind, draw(st.floats(min_value=min_m, max_value=1.5)), draw(ANGLE), draw(ANGLE)
+    )
+    return rescaled(mod, draw(COUPLING_SCALE))
+
+
+@st.composite
+def lattices(draw):
+    """1-6 points (alice, bob, link) of one pairing at independent random drives."""
+    alice_kind, bob_kind = draw(st.sampled_from(PAIRINGS))
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        ln = link(draw(ANGLE), draw(st.floats(min_value=0.05, max_value=1.0)))
+        points.append((draw(drives(alice_kind, 0.01)), draw(drives(bob_kind, 0.01)), ln))
+    return points
+
+
+class TestOneExpField:
+    @given(
+        st.sampled_from((PM, AM, UM)).flatmap(drives),
+        ANGLE,
+        st.floats(min_value=0.05, max_value=1.0),
+        st.sampled_from([9, 11, 40]),
+    )
+    def test_matches_the_two_exp_field(self, mod, delay, scale, order):
+        theta = harmonics._phases(order)
+        got = harmonics._field(theta, *harmonics._field_params(mod, delay, scale), bool(mod.m2))
+        want = reference_field(mod, theta, delay, scale)
+        assert np.max(np.abs(got - want)) <= 1e-15 * (mod.eps1 + mod.eps2) * scale
+
+
+class TestErrorPoints:
+    @given(lattices())
+    def test_matches_the_per_point_error(self, points):
+        order = harmonics._checked_order(None, max(max(a.m1, b.m1) for a, b, _ in points))
+        try:
+            want = [reference_error(*point, order) for point in points]
+        except InvalidParameterError:
+            with pytest.raises(InvalidParameterError, match="degenerate pairing"):
+                harmonics._error_points(points)
+            return
+        got = harmonics._error_points(points)
+        assert len(got) == len(points)
+        for pair, ref in zip(got, want):
+            assert pair == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_default_order_covers_the_largest_drive(self):
+        small = (make_modulator(UM, 0.01, 0.4, 0.3), make_modulator(AM, 0.02, 0.7), link(0.6, 0.7))
+        large = (make_modulator(UM, 20.0, 0.4, 0.3), make_modulator(AM, 0.5, 0.7), link(0.6, 0.7))
+        for points in ([small, large], [large, small]):
+            want = [reference_error(*point, 68) for point in points]  # ceil(3 * 20) + 8
+            assert harmonics._error_points(points) == want
+
+    def test_one_under_ordered_row_fails_the_batch(self):
+        # at order 10 each anti-phase pair of PM drives fits; the in-phase
+        # pair adds to an index of 3 and leaves 6.5e-12 outside
+        alice = make_modulator(PM, 1.5, 0.3)
+        anti = [(alice, make_modulator(PM, 1.5, 0.0, phi), link()) for phi in (3.0, math.pi, 3.3)]
+        in_phase = (alice, make_modulator(PM, 1.5, 0.0, 0.0), link())
+        assert len(harmonics._error_points(anti, 10)) == 3
+        for batch in (anti + [in_phase], [in_phase] + anti, anti[:1] + [in_phase] + anti[1:]):
+            with pytest.raises(TruncationError):
+                harmonics._error_points(batch, 10)
+
+    @pytest.mark.parametrize("order", [12.0, 12.5, True, "12", np.float64(12.0)])
+    def test_non_integer_order_rejected(self, order):
+        alice, bob = make_modulator(UM, 0.8, 0.4, 0.3), make_modulator(AM, 0.5, 0.7, 1.1)
+        message = re.escape(f"order must be an integer, got {order!r}")
+        for call in (exact_tandem_spectrum, small_signal_error):
+            with pytest.raises(InvalidParameterError, match=message):
+                call(alice, bob, link(0.6, 0.7), order)
+
+    def test_numpy_integer_order_accepted(self):
+        alice, bob = make_modulator(UM, 0.8, 0.4, 0.3), make_modulator(AM, 0.5, 0.7, 1.1)
+        ln = link(0.6, 0.7)
+        spectrum = exact_tandem_spectrum(alice, bob, ln, np.int64(12))
+        assert spectrum.order == 12 and type(spectrum.order) is int
+        assert np.array_equal(spectrum.amps, exact_tandem_spectrum(alice, bob, ln, 12).amps)
+        assert small_signal_error(alice, bob, ln, np.int32(12)) == small_signal_error(
+            alice, bob, ln, 12
+        )
+
+
+class TestExactInvariants:
+    """ROADMAP item 5 invariants of the exact spectrum, as properties."""
+
+    @given(
+        st.sampled_from(PAIRINGS),
+        st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=2),
+        st.lists(ANGLE, min_size=5, max_size=5),
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_total_power_bounded_by_the_loss(self, kinds, ms, angles, loss):
+        alice = make_modulator(kinds[0], ms[0], angles[0], angles[1])
+        bob = make_modulator(kinds[1], ms[1], angles[2], angles[3])
+        total = exact_tandem_spectrum(alice, bob, link(angles[4], loss)).total_power()
+        assert total <= loss + 1e-12
+        if kinds == (PM, PM):
+            assert abs(total - loss) <= 1e-12
+
+    @given(
+        st.sampled_from(PAIRINGS),
+        st.lists(st.floats(min_value=0.01, max_value=1.5), min_size=2, max_size=2),
+        st.lists(ANGLE, min_size=5, max_size=5),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.lists(COUPLING_SCALE, min_size=2, max_size=2),
+    )
+    def test_rescaled_couplings_change_no_normalised_output(self, kinds, ms, angles, loss, scales):
+        alice = make_modulator(kinds[0], ms[0], angles[0], angles[1])
+        bob = make_modulator(kinds[1], ms[1], angles[2], angles[3])
+        ln = link(angles[4], loss)
+        try:
+            closed = sideband_powers(alice, bob, ln)
+        except DegenerateConfigurationError:
+            assume(False)  # both first-order coefficients vanish
+        # near a fringe null the relative error is set by rounding alone
+        assume(min(closed) >= 0.05)
+        big_alice, big_bob = rescaled(alice, scales[0]), rescaled(bob, scales[1])
+        assert sideband_powers(big_alice, big_bob, ln) == pytest.approx(closed, abs=1e-12)
+        assert sideband_powers_direct(big_alice, big_bob, ln) == pytest.approx(
+            sideband_powers_direct(alice, bob, ln), abs=1e-12
+        )
+        assert small_signal_error(big_alice, big_bob, ln) == pytest.approx(
+            small_signal_error(alice, bob, ln), rel=1e-9, abs=1e-12
+        )
+        base = exact_tandem_spectrum(alice, bob, ln)
+        big = exact_tandem_spectrum(big_alice, big_bob, ln)
+        for k in (1, -1):
+            assert big.power(k) / big.total_power() == pytest.approx(
+                base.power(k) / base.total_power(), abs=1e-12
+            )
