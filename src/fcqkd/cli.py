@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -271,7 +272,13 @@ def cmd_qkd(cfg: RunConfig, seed: int | None, out_path: str | None) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused for the process.
+
+    Parsing reads it and leaves it unchanged, so one parser serves every
+    ``main`` call; building it at import would add to every import.
+    """
     parser = argparse.ArgumentParser(
         prog="fcqkd",
         description="Tandem electro-optic modulator link simulator for "
@@ -310,8 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "table2":
             return cmd_table2(args.out)

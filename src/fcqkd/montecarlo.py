@@ -34,13 +34,19 @@ multinomial law.  A session is a single ``multinomial(n_pulses, p)``
 draw from a numpy PCG64 generator seeded from the config: exactly the
 distribution of pulse-by-pulse sampling, in time and memory independent
 of ``n_pulses``, and bit-reproducible for a given seed.
+
+The table has only 16 (B92) or 32 (BB84) cells, so it is built and
+tallied as a flat list of Python floats: one ``np.exp`` call gives every
+counter's no-click probability, and each statistic is a sum over a fixed
+tuple of cell indices derived once from the decoding and sifting rules.
+The same tally serves drawn counts and expected counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,10 +62,8 @@ MAX_PULSES = 2**63 - 1
 # and bit k // 2, Bob's column is his basis.  B92: Alice's row is her bit,
 # Bob's column c (canonical pi or 3*pi/2) decodes a click as bit 1 - c.
 _ALPHABETS = {BB84: ((0, 1, 2, 3), (0, 1)), B92: ((0, 1), (2, 3))}
-_BB84_MATCHED = np.arange(4)[:, None] % 2 == np.arange(2)  # Alice basis == Bob basis
 
-# Click outcomes of one pulse along the last axis of the cell table; 0 is
-# no click.
+# Click outcomes of one pulse, the last index of a cell; 0 is no click.
 _UPPER, _LOWER, _BOTH = 1, 2, 3
 
 
@@ -84,11 +88,20 @@ class SessionConfig:
             raise InvalidParameterError("eta must lie in [0, 1]")
         if not (0.0 <= self.p_dark < 1.0):
             raise InvalidParameterError("p_dark must lie in [0, 1)")
-        if not (isinstance(self.n_pulses, Integral) and 0 < self.n_pulses <= MAX_PULSES):
+        # integers are Python or numpy ones, not bool, as harmonics' orders are
+        if (
+            isinstance(self.n_pulses, bool)
+            or not isinstance(self.n_pulses, (int, np.integer))
+            or not 0 < self.n_pulses <= MAX_PULSES
+        ):
             raise InvalidParameterError(
                 f"n_pulses must be an integer in [1, {MAX_PULSES}], got {self.n_pulses}"
             )
-        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+        if (
+            isinstance(self.seed, bool)
+            or not isinstance(self.seed, (int, np.integer))
+            or self.seed < 0
+        ):
             raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed}")
 
 
@@ -109,13 +122,15 @@ def _infeasible(cfg: SessionConfig, reason: str) -> InfeasibleProtocolError:
     )
 
 
-def _counter_powers(cfg: SessionConfig, phase_error: float) -> np.ndarray:
-    """(upper, lower) powers of every alphabet cell, shape (2, rows, columns).
+def _counter_powers(cfg: SessionConfig, phase_error: float) -> list[float]:
+    """(upper, lower) powers of every alphabet cell, flat in cell order.
 
-    Bob's compensation uses the configured link phase and the pairing's
-    intrinsic offset; ``phase_error`` shifts the physical span phase
-    without Bob's knowledge.  Raises :class:`InfeasibleProtocolError` when
-    a coefficient vanishes at the configured drive indices.
+    Row-major over (Alice row, Bob column), each cell's upper power before
+    its lower one.  Bob's compensation uses the configured link phase and
+    the pairing's intrinsic offset; ``phase_error`` shifts the physical
+    span phase without Bob's knowledge.  Raises
+    :class:`InfeasibleProtocolError` when a coefficient vanishes at the
+    configured drive indices.
     """
     _, _, vis, offset = _fringe(cfg.alice, cfg.bob)
     if offset is None:
@@ -123,18 +138,20 @@ def _counter_powers(cfg: SessionConfig, phase_error: float) -> np.ndarray:
     compensation = cfg.link.link_phase + offset
     span_phase = cfg.link.link_phase + phase_error
     alices, bobs = ([CANONICAL_PHASES[k] for k in row] for row in _ALPHABETS[cfg.protocol])
-    powers = [
-        [_fringe_powers(vis, offset, phi_b - compensation - phi_a + span_phase) for phi_b in bobs]
+    return [
+        power
         for phi_a in alices
+        for phi_b in bobs
+        for power in _fringe_powers(vis, offset, phi_b - compensation - phi_a + span_phase)
     ]
-    return np.moveaxis(np.array(powers), -1, 0)
 
 
-def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> np.ndarray:
+def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> list[float]:
     """Probability that one pulse lands in each (Alice, Bob, outcome) cell.
 
-    Shape (rows, columns, 4), summing to 1; raises
-    :class:`InfeasibleProtocolError` if the pairing cannot run the protocol.
+    Flat in cell order, four outcomes per alphabet cell, summing to 1;
+    raises :class:`InfeasibleProtocolError` if the pairing cannot run the
+    protocol.
     """
     if not math.isfinite(phase_error):
         raise InvalidParameterError(f"phase_error must be finite, got {phase_error!r}")
@@ -142,57 +159,88 @@ def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> np.ndarray:
     if not feasibility.feasible:
         raise _infeasible(cfg, feasibility.failure_reason)
     powers = _counter_powers(cfg, phase_error)
-    # Rounding can leave a fringe null a hair below zero; no light is no light.
-    quiet_up, quiet_low = (1.0 - cfg.p_dark) * np.exp(
-        -cfg.eta * cfg.mu * np.maximum(powers, 0.0)
-    )
-    click_up, click_low = 1.0 - quiet_up, 1.0 - quiet_low
-    cells = np.stack(
-        (quiet_up * quiet_low, click_up * quiet_low, quiet_up * click_low, click_up * click_low),
-        axis=-1,
-    )
-    return cells / quiet_up.size
+    # One np.exp call, not math.exp: the two differ in the last ulp for some
+    # arguments, and a one-ulp change in a probability can change a draw.
+    # No light is no light: a power rounded below zero must not click.
+    scale = -cfg.eta * cfg.mu
+    quiet = np.exp([scale * max(power, 0.0) for power in powers]).tolist()
+    keep, size = 1.0 - cfg.p_dark, len(powers) // 2
+    cells = []
+    for k in range(0, len(quiet), 2):
+        quiet_up, quiet_low = keep * quiet[k], keep * quiet[k + 1]
+        click_up, click_low = 1.0 - quiet_up, 1.0 - quiet_low
+        cells += (
+            quiet_up * quiet_low / size,
+            click_up * quiet_low / size,
+            quiet_up * click_low / size,
+            click_up * click_low / size,
+        )
+    return cells
 
 
-def _tally(protocol: str, cells: np.ndarray):
-    """(conclusive, sifted, errors, upper clicks, lower clicks) of a cell table.
+def _indices(protocol: str, outcomes) -> tuple[int, ...]:
+    """Flat cell indices whose outcome is in ``outcomes(row, column)``."""
+    rows, columns = (len(side) for side in _ALPHABETS[protocol])
+    return tuple(
+        (row * columns + column) * 4 + outcome
+        for row in range(rows)
+        for column in range(columns)
+        for outcome in outcomes(row, column)
+    )
+
+
+def _tally_getters(protocol: str) -> tuple[itemgetter, ...]:
+    """Getters of the (conclusive, sifted, errors, upper, lower) cells of a table."""
+    upper, lower = (_UPPER, _BOTH), (_LOWER, _BOTH)
+    if protocol == BB84:
+        single = (_UPPER, _LOWER)
+        # Alice's basis is row % 2; upper-only decodes as 0, lower-only as
+        # 1, and rows 0-1 carry bit 0
+        rules = (
+            lambda r, c: single,
+            lambda r, c: single if r % 2 == c else (),
+            lambda r, c: ((_LOWER,) if r < 2 else (_UPPER,)) if r % 2 == c else (),
+        )
+    else:
+        clicked = (_UPPER, _LOWER, _BOTH)
+        # a click decodes as bit 1 - column: wrong exactly when column == row
+        rules = (lambda r, c: clicked, lambda r, c: clicked, lambda r, c: clicked if r == c else ())
+    rules += (lambda r, c: upper, lambda r, c: lower)
+    # every rule selects at least two cells, so each getter returns a tuple
+    return tuple(itemgetter(*_indices(protocol, rule)) for rule in rules)
+
+
+_TALLIES = {protocol: _tally_getters(protocol) for protocol in _ALPHABETS}
+
+
+def _tally(protocol: str, cells: list) -> list:
+    """(conclusive, sifted, errors, upper clicks, lower clicks) of a flat cell table.
 
     Linear in ``cells``: drawn counts give a session's statistics, expected
     counts give their expectations.
     """
-    upper_only, lower_only = cells[..., _UPPER], cells[..., _LOWER]
-    upper = (upper_only + cells[..., _BOTH]).sum()
-    lower = (lower_only + cells[..., _BOTH]).sum()
-    if protocol == BB84:
-        single = upper_only + lower_only
-        # upper-only decodes as 0, lower-only as 1; rows 0-1 carry bit 0
-        wrong = np.concatenate((lower_only[:2], upper_only[2:]))
-        sifted, errors = single[_BB84_MATCHED].sum(), wrong[_BB84_MATCHED].sum()
-        return single.sum(), sifted, errors, upper, lower
-    clicked = cells[..., _UPPER:].sum(axis=-1)
-    # a click decodes as bit 1 - column: wrong exactly when column == row
-    return clicked.sum(), clicked.sum(), np.trace(clicked), upper, lower
+    return [sum(get(cells)) for get in _TALLIES[protocol]]
 
 
 def expected_counts(
     cfg: SessionConfig, phase_error: float = 0.0
 ) -> tuple[float, float, float]:
     """Expected (conclusive, sifted, errors) counts of a session."""
+    n = cfg.n_pulses
     conclusive, sifted, errors, _, _ = _tally(
-        cfg.protocol, cfg.n_pulses * _cell_probabilities(cfg, phase_error)
+        cfg.protocol, [n * p for p in _cell_probabilities(cfg, phase_error)]
     )
     return float(conclusive), float(sifted), float(errors)
 
 
 def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
     """Simulate one key-exchange session; deterministic for a given seed."""
-    p = _cell_probabilities(cfg, phase_error)
-    counts = np.random.default_rng(cfg.seed).multinomial(cfg.n_pulses, p.ravel())
-    conclusive, sifted, errors, upper, lower = map(
-        int, _tally(cfg.protocol, counts.reshape(p.shape))
+    counts = np.random.default_rng(cfg.seed).multinomial(
+        cfg.n_pulses, _cell_probabilities(cfg, phase_error)
     )
+    conclusive, sifted, errors, upper, lower = _tally(cfg.protocol, counts.tolist())
     return SessionStats(
-        sent=cfg.n_pulses,
+        sent=int(cfg.n_pulses),
         conclusive=conclusive,
         sifted_bits=sifted,
         errors=errors,

@@ -1,11 +1,14 @@
+import argparse
 import dataclasses
 import json
 import math
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fcqkd import cli, link
+from fcqkd import InvalidParameterError, cli, config, link
 from fcqkd.cli import main
 from fcqkd.config import MAX_SWEEP_STEPS, ConfigError, default_config, parse_config
 from fcqkd.modulator import ModulatorKind
@@ -488,3 +491,152 @@ class TestQkdCommand:
             stats.append(json.loads(capsys.readouterr().out)["stats"])
         assert stats[0] == stats[1]
         assert stats[1]["errors"] > 0
+
+
+class TestParserReuse:
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_calls_build_one_parser(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            if parser.prog == "fcqkd":  # not a subcommand's parser
+                built.append(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (["qkd"], ["sweep"], ["spectrum", "--format", "json"], ["qkd", "--seed", "3"]):
+            assert main(argv) == 0
+        assert len(built) == 1
+
+    def test_seed_does_not_carry_over(self, capsys):
+        want = (pathlib.Path(__file__).parent / "data" / "qkd.json").read_text()
+        assert main(["qkd", "--seed", "9"]) == 0
+        assert capsys.readouterr().out != want
+        assert main(["qkd"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_format_does_not_carry_over(self, capsys):
+        assert main(["spectrum", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "spectrum"
+        assert main(["spectrum"]) == 0
+        assert capsys.readouterr().out.startswith("offset_ghz,power_db_rel_carrier\n")
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--order", "ten"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert main(["spectrum", "--order", "10"]) == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) - 1 == 21
+
+
+# --- fuzzing: INI text from the known sections and keys, with odd values ----
+
+_ODD = ("nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e308", "1e-320", "garbage", "",
+        str(2**63), str(2**63 - 1), str(-(2**63)), "0", "-0.0", "-1", "0.5", "1", "2", "1.5e2")
+_PLAUSIBLE = {
+    "kind": ("UM", "PM", "AM", "um", "QM"),
+    "protocol": ("B92", "BB84", "bb84", "E91"),
+    "format": ("csv", "json", "xml"),
+    "variable": ("delta_phi", "psi"),
+    "m": ("0.1", "0.05", "55.0"),
+    "psi": ("0.0", "0.7853981633974483", "1.5707963267948966"),
+    "mu": ("0.1", "0.3"),
+    "n_pulses": ("1000", "100000"),
+    "v_pi_volts": ("5.5", "7.4"),
+    "v_rf_volts": ("0.2",),
+    "v_dc_volts": ("5.5",),
+}
+# Large step counts run long and exercise nothing that small ones do not.
+_STEPS = ("1", "7", "64", "2.0", "2.5", "0", "-1", "nan", "inf", "1e400", str(2**63), "garbage")
+
+
+def _values(key):
+    if key == "steps":
+        return st.sampled_from(_STEPS)
+    return st.one_of(
+        st.sampled_from(_PLAUSIBLE.get(key, ()) + _ODD),
+        st.floats().map(repr),
+        st.integers(-(2**70), 2**70).map(str),
+    )
+
+
+# A valid configuration, which the fuzzer then edits.
+_BASE = {
+    "alice": {"kind": "UM", "m": "0.1", "psi": "0.0"},
+    "bob": {"kind": "PM", "m": "0.05", "psi": "0.0"},
+    "link": {"rf_ghz": "15.0", "link_phase_rad": "0.0", "loss": "1.0"},
+    "sweep": {"variable": "delta_phi", "start": "0.0", "stop": "6.283185307179586", "steps": "8"},
+    "montecarlo": {"protocol": "B92", "mu": "0.1", "eta": "1.0", "p_dark": "0.0",
+                   "n_pulses": "1000", "seed": "7"},
+    "output": {"format": "csv"},
+}
+
+
+@st.composite
+def config_texts(draw):
+    sections = {name: dict(keys) for name, keys in _BASE.items()}
+    for name in ("alice", "bob"):
+        sections[name]["kind"] = draw(st.sampled_from(("UM", "PM", "AM")))
+        sections[name]["psi"] = draw(st.sampled_from(_PLAUSIBLE["psi"]))
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(sorted(sections)))
+        # the [output] path would write outside the test's directory
+        key = draw(st.sampled_from(sorted(config._SECTION_KEYS[name] - {"path"})))
+        if draw(st.integers(0, 4)) == 0:
+            sections[name].pop(key, None)
+        else:
+            sections[name][key] = draw(_values(key))
+    if draw(st.integers(0, 3)) == 0:
+        sections.pop(draw(st.sampled_from(sorted(sections))))
+    lines = []
+    for name, keys in sections.items():
+        lines += [f"[{name}]", *(f"{key} = {value}" for key, value in keys.items())]
+    return "\n".join(lines) + "\n"
+
+
+_COMMANDS = st.one_of(
+    st.tuples(st.just("sweep"), st.sampled_from(([], ["--format", "json"]))),
+    st.tuples(
+        st.just("spectrum"),
+        st.lists(
+            st.sampled_from((["--format", "csv"], ["--delta-phi", "1e308"], ["--delta-phi=nan"],
+                             ["--order", "12"], ["--order", "171"], ["--order", "x"])),
+            max_size=2,
+        ).map(lambda opts: [arg for opt in opts for arg in opt]),
+    ),
+    st.tuples(st.just("qkd"), st.sampled_from(([], ["--seed", "4"], ["--seed", "-1"],
+                                                ["--seed", str(2**64)], ["--seed", "1.5"]))),
+)
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=300, deadline=None)
+    @given(config_texts())
+    def test_parse_config_returns_or_raises_a_typed_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except (ConfigError, InvalidParameterError):
+            return
+        assert isinstance(cfg, config.RunConfig)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config_texts(), _COMMANDS, st.booleans())
+    def test_cli_exits_with_a_code(self, tmp_path, capsys, text, command, to_file):
+        path = write_config(tmp_path, text)
+        name, options = command
+        argv = [name, "--config", path, *options]
+        if to_file:
+            argv += ["--out", str(tmp_path / "out")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err

@@ -1,9 +1,13 @@
+import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fcqkd import (
     B92,
@@ -18,6 +22,10 @@ from fcqkd import (
     qber_vs_offset,
     run_session,
 )
+from fcqkd import montecarlo
+from fcqkd.link import _fringe, _fringe_powers
+from fcqkd.montecarlo import MAX_PULSES, SessionStats, offset_seed
+from fcqkd.protocols import CANONICAL_PHASES, check_protocol
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
@@ -121,15 +129,25 @@ def test_basis_mismatch_near_half():
 
 
 def test_conclusive_rate_linear_in_mu():
-    # at small mu the conclusive fraction is eta * mu * (mean pair power)
+    # the session's conclusive counts follow their expectations, which at
+    # small mu grow as eta * mu * (mean pair power)
+    n = 200_000
     for cfg_maker, pair_power in ((bb84_config, 1.0), (b92_config, 0.5)):
-        rates = []
+        rates, expected, variances = [], [], []
         mus = (0.01, 0.02, 0.04)
         for mu in mus:
-            stats = run_session(cfg_maker(mu=mu, n_pulses=200_000))
+            cfg = cfg_maker(mu=mu, n_pulses=n)
+            stats = run_session(cfg)
+            p = expected_counts(cfg)[0] / n
             rates.append(stats.conclusive / stats.sent)
-        slope = (rates[-1] - rates[0]) / (mus[-1] - mus[0])
-        assert slope == pytest.approx(pair_power, rel=0.1)
+            expected.append(p)
+            variances.append(p * (1 - p) / n)
+            assert abs(rates[-1] - p) < 3 * math.sqrt(variances[-1])
+        run = mus[-1] - mus[0]
+        slope, expected_slope = ((r[-1] - r[0]) / run for r in (rates, expected))
+        assert abs(slope - expected_slope) < 3 * math.sqrt(variances[0] + variances[-1]) / run
+        # the curvature of 1 - exp(-eta mu P) bends the secant by O(mu)
+        assert expected_slope == pytest.approx(pair_power, rel=mus[-1])
 
 
 def test_uncompensated_quarter_wave_randomizes_bb84():
@@ -149,9 +167,9 @@ def test_qber_vs_offset_follows_fringe_law():
     cfg = bb84_config(n_pulses=100_000)
     offsets = [0.0, math.pi / 4, math.pi / 2, 2 * math.pi / 3, math.pi]
     for delta, qber in qber_vs_offset(cfg, offsets):
-        expected = math.sin(delta / 2) ** 2
-        stats = run_session(cfg, phase_error=delta)
-        band = 3 * math.sqrt(max(expected * (1 - expected), 1e-9) / max(stats.sifted_bits, 1))
+        _, sifted, errors = expected_counts(cfg, phase_error=delta)
+        expected = errors / sifted
+        band = 3 * math.sqrt(max(expected * (1 - expected), 1e-9) / sifted)
         assert qber == pytest.approx(expected, abs=band + 1e-9)
 
 
@@ -170,7 +188,8 @@ def test_invalid_config_rejected():
 @pytest.mark.parametrize(
     "bad",
     [dict(mu=math.nan), dict(mu=math.inf), dict(seed=-1), dict(seed=1.5),
-     dict(n_pulses=2**63), dict(n_pulses=int(1e20)), dict(n_pulses=1500.7)],
+     dict(n_pulses=2**63), dict(n_pulses=int(1e20)), dict(n_pulses=1500.7),
+     dict(n_pulses=True), dict(seed=True), dict(seed=False)],
 )
 def test_unsamplable_config_rejected(bad):
     with pytest.raises(InvalidParameterError):
@@ -226,3 +245,187 @@ def test_expected_counts_closed_form():
     assert conclusive == pytest.approx(n * (matched / 2 + half * (1.0 - half)), rel=1e-9)
     assert errors == pytest.approx(0.0, abs=1e-9)
     assert sifted / conclusive == pytest.approx(0.5063, abs=1e-4)
+
+
+def test_power_below_zero_is_no_light(monkeypatch):
+    # V <= 1 keeps the fringe law at or above zero; a power rounded below
+    # zero would otherwise give the counter a negative click probability
+    monkeypatch.setattr(montecarlo, "_fringe_powers", lambda vis, offset, x: (-1e-17, 1.0))
+    stats = run_session(bb84_config(mu=1e3))
+    assert stats.upper_clicks == 0 and stats.lower_clicks == stats.sent
+
+
+def test_numpy_integers_report_python_ints():
+    # a numpy count is accepted, but the stats carry Python ints that JSON takes
+    cfg = bb84_config(n_pulses=np.int64(5000), seed=np.uint32(11))
+    stats = run_session(cfg)
+    assert stats == run_session(bb84_config(n_pulses=5000, seed=11))
+    assert all(type(v) is int for v in (stats.sent, stats.conclusive, stats.errors))
+    json.dumps(stats.__dict__)
+
+
+# --- the numpy session kernel, kept as the oracle for the flat one ----------
+
+_REF_ALPHABETS = {BB84: ((0, 1, 2, 3), (0, 1)), B92: ((0, 1), (2, 3))}
+_BB84_MATCHED = np.arange(4)[:, None] % 2 == np.arange(2)  # Alice basis == Bob basis
+_UPPER, _LOWER, _BOTH = 1, 2, 3
+
+
+def _infeasible(cfg, reason):
+    return InfeasibleProtocolError(
+        reason, f"{cfg.protocol} not supported by this pairing: {reason}"
+    )
+
+
+def _counter_powers(cfg, phase_error):
+    _, _, vis, offset = _fringe(cfg.alice, cfg.bob)
+    if offset is None:
+        raise _infeasible(cfg, "zero-visibility")
+    compensation = cfg.link.link_phase + offset
+    span_phase = cfg.link.link_phase + phase_error
+    alices, bobs = ([CANONICAL_PHASES[k] for k in row] for row in _REF_ALPHABETS[cfg.protocol])
+    powers = [
+        [_fringe_powers(vis, offset, phi_b - compensation - phi_a + span_phase) for phi_b in bobs]
+        for phi_a in alices
+    ]
+    return np.moveaxis(np.array(powers), -1, 0)
+
+
+def _cell_probabilities(cfg, phase_error):
+    if not math.isfinite(phase_error):
+        raise InvalidParameterError(f"phase_error must be finite, got {phase_error!r}")
+    feasibility = check_protocol(cfg.alice, cfg.bob, cfg.protocol)
+    if not feasibility.feasible:
+        raise _infeasible(cfg, feasibility.failure_reason)
+    powers = _counter_powers(cfg, phase_error)
+    # Rounding can leave a fringe null a hair below zero; no light is no light.
+    quiet_up, quiet_low = (1.0 - cfg.p_dark) * np.exp(
+        -cfg.eta * cfg.mu * np.maximum(powers, 0.0)
+    )
+    click_up, click_low = 1.0 - quiet_up, 1.0 - quiet_low
+    cells = np.stack(
+        (quiet_up * quiet_low, click_up * quiet_low, quiet_up * click_low, click_up * click_low),
+        axis=-1,
+    )
+    return cells / quiet_up.size
+
+
+def _tally(protocol, cells):
+    upper_only, lower_only = cells[..., _UPPER], cells[..., _LOWER]
+    upper = (upper_only + cells[..., _BOTH]).sum()
+    lower = (lower_only + cells[..., _BOTH]).sum()
+    if protocol == BB84:
+        single = upper_only + lower_only
+        # upper-only decodes as 0, lower-only as 1; rows 0-1 carry bit 0
+        wrong = np.concatenate((lower_only[:2], upper_only[2:]))
+        sifted, errors = single[_BB84_MATCHED].sum(), wrong[_BB84_MATCHED].sum()
+        return single.sum(), sifted, errors, upper, lower
+    clicked = cells[..., _UPPER:].sum(axis=-1)
+    # a click decodes as bit 1 - column: wrong exactly when column == row
+    return clicked.sum(), clicked.sum(), np.trace(clicked), upper, lower
+
+
+def reference_expected_counts(cfg, phase_error=0.0):
+    conclusive, sifted, errors, _, _ = _tally(
+        cfg.protocol, cfg.n_pulses * _cell_probabilities(cfg, phase_error)
+    )
+    return float(conclusive), float(sifted), float(errors)
+
+
+def reference_run_session(cfg, phase_error=0.0):
+    p = _cell_probabilities(cfg, phase_error)
+    counts = np.random.default_rng(cfg.seed).multinomial(cfg.n_pulses, p.ravel())
+    conclusive, sifted, errors, upper, lower = map(
+        int, _tally(cfg.protocol, counts.reshape(p.shape))
+    )
+    return SessionStats(
+        sent=cfg.n_pulses,
+        conclusive=conclusive,
+        sifted_bits=sifted,
+        errors=errors,
+        qber=errors / sifted if sifted else None,
+        upper_clicks=upper,
+        lower_clicks=lower,
+    )
+
+
+def reference_qber_vs_offset(cfg, offsets):
+    results = []
+    for i, delta in enumerate(offsets):
+        child = replace(cfg, seed=offset_seed(cfg.seed, i))
+        stats = reference_run_session(child, phase_error=delta)
+        results.append((delta, stats.qber))
+    return results
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the exception is the outcome
+        return "raised", type(exc), str(exc)
+
+
+# Free biases, or a point of one of the classifier's bias families, where
+# some pairings support a protocol.
+_BIAS_RULES = (
+    lambda t, u, n: (t, u),
+    lambda t, u, n: (n * math.pi, t),
+    lambda t, u, n: (t, n * math.pi),
+    lambda t, u, n: (t, t + n * math.pi),
+    lambda t, u, n: (t, t + (2 * n + 1) * 0.5 * math.pi),
+)
+_KINDS = st.sampled_from((PM, AM, UM))
+# Mostly moderate phases, now and then a huge or non-finite one.
+_PHASE_ERROR = st.one_of(st.floats(-10.0, 10.0), st.floats())
+
+
+@st.composite
+def sessions(draw):
+    protocol, alice_kind, bob_kind = draw(st.sampled_from((B92, BB84))), draw(_KINDS), draw(_KINDS)
+    psi_a, psi_b = draw(st.sampled_from(_BIAS_RULES))(
+        draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)), draw(st.integers(-2, 2))
+    )
+    m_b = draw(st.floats(0.0, 2.0))
+    m_a = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        # trim the index ratio to unit visibility where the biases allow
+        feasibility = check_protocol(
+            make_modulator(alice_kind, 1.0, psi_a), make_modulator(bob_kind, 1.0, psi_b), protocol
+        )
+        if feasibility.feasible:
+            m_a = feasibility.index_ratio * m_b
+    return SessionConfig(
+        protocol=protocol,
+        alice=make_modulator(alice_kind, m_a, psi_a, draw(st.floats(-4.0, 4.0))),
+        bob=make_modulator(bob_kind, m_b, psi_b, draw(st.floats(-4.0, 4.0))),
+        link=LinkSpec(rf_frequency=2 * math.pi * 15e9, link_phase=draw(st.floats(-10.0, 10.0))),
+        mu=draw(st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e6))),
+        eta=draw(st.floats(0.0, 1.0)),
+        p_dark=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        n_pulses=draw(st.integers(1, MAX_PULSES)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestFlatKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(sessions(), _PHASE_ERROR, st.lists(_PHASE_ERROR, max_size=3))
+    def test_matches_the_numpy_kernel(self, cfg, phase_error, offsets):
+        assert _outcome(run_session, cfg, phase_error) == _outcome(
+            reference_run_session, cfg, phase_error
+        )
+        assert _outcome(qber_vs_offset, cfg, offsets) == _outcome(
+            reference_qber_vs_offset, cfg, offsets
+        )
+        got = _outcome(expected_counts, cfg, phase_error)
+        want = _outcome(reference_expected_counts, cfg, phase_error)
+        if want[0] == "raised":
+            assert got == want
+            return
+        assert got[0] == "returned"
+        # the same positive products, summed in another order: each side
+        # rounds at most 15 additions, each by at most half an ulp of the
+        # total, so the two differ by at most 2 * 15 half-ulps of it
+        for value, ref in zip(got[1], want[1]):
+            assert abs(value - ref) <= 16 * sys.float_info.epsilon * abs(ref)
