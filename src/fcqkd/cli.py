@@ -9,7 +9,8 @@ Subcommands::
     verify    first-order model vs exact harmonics over the lattice (JSON)
     qkd       Monte Carlo key-exchange session (JSON)
 
-Exit codes: 0 success, 1 validation failure, 2 config/parameter error.
+Exit codes: 0 success, 1 validation failure (a ``table2`` mismatch or a
+``verify`` bound exceeded), 2 any package error (:class:`FcqkdError`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from .errors import (
     ConfigError,
     DegenerateConfigurationError,
     FcqkdError,
-    InfeasibleProtocolError,
     InvalidParameterError,
-    TruncationError,
 )
 from .harmonics import exact_tandem_spectrum
 from .link import _fringe, _fringe_powers, sideband_powers_direct
@@ -182,10 +181,10 @@ def _row_json(row: ClassificationRow) -> dict:
     }
 
 
-def table_grid(n: int = _TABLE_GRID_N) -> list[float]:
-    """Generic biases on the principal branch, clear of singular points."""
+def table_grid() -> list[float]:
+    """The 36 generic biases of ``table2``, on the principal branch and clear of singular points."""
     lo, hi = 0.03, 0.5 * math.pi - 0.03
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return [lo + (hi - lo) * i / (_TABLE_GRID_N - 1) for i in range(_TABLE_GRID_N)]
 
 
 def cmd_table2(out_path: str | None) -> int:
@@ -331,13 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, fmt, out_path)
         return cmd_spectrum(cfg, args.delta_phi, args.order, fmt, out_path)
-    except (ConfigError, InvalidParameterError, InfeasibleProtocolError,
-            DegenerateConfigurationError, TruncationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except FcqkdError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_CONFIG
 
 
 def entry() -> None:

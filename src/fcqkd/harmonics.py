@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidParameterError, TruncationError
 from .link import LinkSpec, sideband_powers
-from .modulator import ModulatorSpec
+from .modulator import ModulatorSpec, _is_integer
 
 # Highest truncation order: it bounds the transform size (at most 1024
 # samples) and the number of output rows.
@@ -86,7 +86,7 @@ def _checked_order(order: int | None, m_max: float) -> int:
             raise InvalidParameterError(
                 f"drive index {m_max} needs order {order}, above the supported maximum {MAX_ORDER}"
             )
-    elif isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+    elif not _is_integer(order):
         raise InvalidParameterError(f"order must be an integer, got {order!r}")
     elif order > MAX_ORDER:
         raise InvalidParameterError(
@@ -202,13 +202,7 @@ def _weights(
 
 
 def _columns(params: list[tuple[float, float, complex, complex]]) -> tuple:
-    """The (phase, m, c1, c2) of ``_field_params`` tuples as (P, 1) columns.
-
-    A single arm stays four numbers: numpy broadcasts a number faster than
-    a (1, 1) column.
-    """
-    if len(params) == 1:
-        return params[0]
+    """The (phase, m, c1, c2) of ``_field_params`` tuples as (P, 1) columns."""
     columns = np.array(params, dtype=complex)
     return columns[:, :1].real, columns[:, 1:2].real, columns[:, 2:3], columns[:, 3:]
 

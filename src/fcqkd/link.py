@@ -25,6 +25,7 @@ from .errors import (
     PhaseUndefinedError,
 )
 from .modulator import (
+    _COUPLING,
     ModulatorSpec,
     ThreeBandField,
     band_amplitudes,
@@ -85,30 +86,27 @@ def cascade(alice_prop: ThreeBandField, bob: ThreeBandField) -> ThreeBandField:
     )
 
 
-def _arms(mod: ModulatorSpec) -> tuple[float, float, float, float, complex]:
-    """The (eps1, eps2, m1, m2, e^{j psi}) a modulator's interference terms depend on."""
-    return mod.eps1, mod.eps2, mod.m1, mod.m2, cmath.exp(1j * mod.psi)
-
-
 def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, bool]:
-    """Interference coefficients and zero flags of two (eps1, eps2, m1, m2, e^{j psi}) sides.
+    """Interference coefficients and zero flags of two (kind, m, e^{j psi}) sides.
 
-    Arrays of bias phasors give arrays.  A coefficient is treated as an
-    analytic zero when it is below 1e-12 of its a-priori scale
-    |carrier| * |sideband| <= (eps1 + eps2) * (eps1 m1 + eps2 m2) / 2: biases
-    like pi/2 land within one ulp of the exact null, where the value carries
-    no phase information.
+    The closed form of every pairing: a kind only picks the couplings and
+    the arm-2 share of the drive index m from the coupling table, so the
+    weights are those at the kind's unit couplings.  Arrays of bias
+    phasors give arrays.  A coefficient is treated as an analytic zero when
+    it is below 1e-12 of its a-priori scale |carrier| * |sideband| <=
+    (eps1 m1 + eps2 m2) / 2 (the couplings sum to 1): biases like pi/2 land
+    within one ulp of the exact null, where the value carries no phase
+    information.
     """
-    a_eps1, a_eps2, a_m1, a_m2, a_u = alice
-    b_eps1, b_eps2, b_m1, b_m2, b_u = bob
-    a = carrier_amplitude(b_eps1, b_eps2, b_u) * sideband_factor(
-        a_eps1, a_eps2, a_m1, a_m2, a_u
-    )
-    b = carrier_amplitude(a_eps1, a_eps2, a_u) * sideband_factor(
-        b_eps1, b_eps2, b_m1, b_m2, b_u
-    )
-    scale_a = (b_eps1 + b_eps2) * 0.5 * (a_eps1 * a_m1 + a_eps2 * a_m2)
-    scale_b = (a_eps1 + a_eps2) * 0.5 * (b_eps1 * b_m1 + b_eps2 * b_m2)
+    a_kind, a_m, a_u = alice
+    b_kind, b_m, b_u = bob
+    a_eps1, a_eps2, a_share = _COUPLING[a_kind]
+    b_eps1, b_eps2, b_share = _COUPLING[b_kind]
+    a_m2, b_m2 = a_share * a_m, b_share * b_m
+    a = carrier_amplitude(b_eps1, b_eps2, b_u) * sideband_factor(a_eps1, a_eps2, a_m, a_m2, a_u)
+    b = carrier_amplitude(a_eps1, a_eps2, a_u) * sideband_factor(b_eps1, b_eps2, b_m, b_m2, b_u)
+    scale_a = 0.5 * (a_eps1 * a_m + a_eps2 * a_m2)
+    scale_b = 0.5 * (b_eps1 * b_m + b_eps2 * b_m2)
     return a, b, abs(a) <= 1e-12 * scale_a, abs(b) <= 1e-12 * scale_b
 
 
@@ -118,11 +116,16 @@ def interference_coeffs(
     """Complex weights of the two interfering sideband contributions.
 
     Returns ``(alice_coeff, bob_coeff)``: Alice's sideband factor times
-    Bob's carrier, and Bob's sideband factor times Alice's carrier.  The
-    common j/2 of the sideband factor is kept in both, so it cancels in
+    Bob's carrier, and Bob's sideband factor times Alice's carrier, at the
+    kind's unit couplings (PM 1, AM/UM 1/2 per arm) whatever common scale
+    the specs' couplings carry, which no normalised output depends on.
+    The common j/2 of the sideband factor is kept in both, so it cancels in
     visibility and phase offset.
     """
-    a, b, _, _ = _coefficients(_arms(alice), _arms(bob))
+    a, b, _, _ = _coefficients(
+        (alice.kind, alice.m1, cmath.exp(1j * alice.psi)),
+        (bob.kind, bob.m1, cmath.exp(1j * bob.psi)),
+    )
     return a, b
 
 
@@ -162,7 +165,10 @@ def _fringe(
     coefficients zero raises :class:`DegenerateConfigurationError`;
     exactly one zero gives visibility 0 and no phase offset.
     """
-    a, b, a_zero, b_zero = _coefficients(_arms(alice), _arms(bob))
+    a, b, a_zero, b_zero = _coefficients(
+        (alice.kind, alice.m1, cmath.exp(1j * alice.psi)),
+        (bob.kind, bob.m1, cmath.exp(1j * bob.psi)),
+    )
     if a_zero and b_zero:
         raise DegenerateConfigurationError(
             "no sideband light: both interference coefficients are zero"

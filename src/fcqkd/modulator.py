@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 # Beyond this index the first-order sideband expansion drifts past the
@@ -39,6 +41,10 @@ class ModulatorKind(Enum):
     PM = "PM"
     AM = "AM"
     UM = "UM"
+
+    # Members compare by identity, so the identity hash agrees; it spares every
+    # coupling-table lookup (one per side per closed-form call) Enum's Python-level hash.
+    __hash__ = object.__hash__
 
 
 # Coupling table: kind -> (eps1, eps2, share of the drive index m on arm 2).
@@ -61,6 +67,11 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

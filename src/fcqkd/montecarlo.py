@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InfeasibleProtocolError, InvalidParameterError
 from .link import LinkSpec, _fringe, _fringe_powers
-from .modulator import ModulatorSpec
+from .modulator import ModulatorSpec, _is_integer
 from .protocols import B92, BB84, CANONICAL_PHASES, check_protocol
 
 # Largest session numpy's multinomial draw can count (int64).
@@ -88,20 +88,11 @@ class SessionConfig:
             raise InvalidParameterError("eta must lie in [0, 1]")
         if not (0.0 <= self.p_dark < 1.0):
             raise InvalidParameterError("p_dark must lie in [0, 1)")
-        # integers are Python or numpy ones, not bool, as harmonics' orders are
-        if (
-            isinstance(self.n_pulses, bool)
-            or not isinstance(self.n_pulses, (int, np.integer))
-            or not 0 < self.n_pulses <= MAX_PULSES
-        ):
+        if not _is_integer(self.n_pulses) or not 0 < self.n_pulses <= MAX_PULSES:
             raise InvalidParameterError(
                 f"n_pulses must be an integer in [1, {MAX_PULSES}], got {self.n_pulses}"
             )
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, (int, np.integer))
-            or self.seed < 0
-        ):
+        if not _is_integer(self.seed) or self.seed < 0:
             raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed}")
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, PhaseUndefinedError
 from .link import _coefficients, phase_offset
-from .modulator import _COUPLING, ModulatorKind, ModulatorSpec, _require_finite
+from .modulator import ModulatorKind, ModulatorSpec, _require_finite
 
 B92 = "B92"
 BB84 = "BB84"
@@ -86,11 +86,7 @@ def _required_shift(protocol: str) -> float:
 
 def _unit_coeffs(alice_kind, bob_kind, u_a, u_b):
     """Coefficients and zero flags at unit drive index for bias phasors e^{j psi}."""
-    a_eps1, a_eps2, a_share = _COUPLING[alice_kind]
-    b_eps1, b_eps2, b_share = _COUPLING[bob_kind]
-    return _coefficients(
-        (a_eps1, a_eps2, 1.0, a_share, u_a), (b_eps1, b_eps2, 1.0, b_share, u_b)
-    )
+    return _coefficients((alice_kind, 1.0, u_a), (bob_kind, 1.0, u_b))
 
 
 def _coeffs_at(alice_kind, bob_kind, psi_a: float, psi_b: float):
@@ -377,7 +373,6 @@ def compare_row_with_reference(
     bob_kind: ModulatorKind,
     row: ClassificationRow,
     psi_grid: Sequence[float] | np.ndarray,
-    tol: float = THETA_TOL,
 ) -> list[str]:
     """Mismatch descriptions between a classified row and the reference.
 
@@ -388,8 +383,6 @@ def compare_row_with_reference(
     :class:`PhaseUndefinedError`.
     """
     psi = _bias_grid(psi_grid)
-    if not 0.0 <= tol < math.inf:
-        raise InvalidParameterError(f"tol must be finite and >= 0, got {tol!r}")
     n = psi.size
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     name = f"{alice_kind.value}-{bob_kind.value}"
@@ -400,8 +393,8 @@ def compare_row_with_reference(
         i, j = divmod(null[0], n)
         raise _null_error(alice_kind, bob_kind, psi[i], psi[j])
     dev = np.abs(np.angle(b * a.conjugate() * np.exp(-1j * ref.theta(psi[:, None], psi))))
-    theta_bad = dev > tol
-    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(psi[:, None], psi) - 1.0) > tol
+    theta_bad = dev > THETA_TOL
+    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(psi[:, None], psi) - 1.0) > THETA_TOL
     failures: list[str] = []
     for k in np.flatnonzero(theta_bad | ratio_bad):
         i, j = divmod(k, n)
@@ -421,6 +414,6 @@ def compare_row_with_reference(
             for t in (float(psi[0]), float(psi[n // 2]), float(psi[-1])):
                 pa, pb = _SAMPLE_POINTS[expect.constraint](t, 0)
                 _, ratio_num = evaluate_pair(alice_kind, bob_kind, pa, pb)
-                if abs(ratio_num / expect.constrained_ratio(pa, pb) - 1.0) > tol:
+                if abs(ratio_num / expect.constrained_ratio(pa, pb) - 1.0) > THETA_TOL:
                     failures.append(f"{name}/{proto}: constrained ratio mismatch at t={t:.6f}")
     return failures

@@ -40,7 +40,7 @@ def _report(name: str) -> None:
 
 def test_criterion_1_classification_table_regeneration(capsys):
     start = time.perf_counter()
-    grid = table_grid(36)
+    grid = table_grid()
     assert len(grid) ** 2 >= 32 * 32
 
     rows = {}

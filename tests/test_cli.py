@@ -8,7 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fcqkd import InvalidParameterError, cli, config, link
+from fcqkd import (
+    DegenerateConfigurationError,
+    FcqkdError,
+    InfeasibleProtocolError,
+    InvalidParameterError,
+    PhaseUndefinedError,
+    TruncationError,
+    cli,
+    config,
+    link,
+)
 from fcqkd.cli import main
 from fcqkd.config import MAX_SWEEP_STEPS, ConfigError, default_config, parse_config
 from fcqkd.modulator import ModulatorKind
@@ -533,6 +543,33 @@ class TestParserReuse:
         assert "invalid int value" in capsys.readouterr().err
         assert main(["spectrum", "--order", "10"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) - 1 == 21
+
+
+_ERRORS = (
+    ConfigError,
+    DegenerateConfigurationError,
+    InfeasibleProtocolError,
+    InvalidParameterError,
+    PhaseUndefinedError,
+    TruncationError,
+)
+
+
+class TestErrorExit:
+    def test_every_package_error_is_listed(self):
+        assert set(FcqkdError.__subclasses__()) == set(_ERRORS)
+
+    @pytest.mark.parametrize("error", _ERRORS, ids=lambda error: error.__name__)
+    @pytest.mark.parametrize("command, stage", [("verify", "survey_all"), ("qkd", "run_session")])
+    def test_every_package_error_exits_2(self, monkeypatch, capsys, error, command, stage):
+        def failing(*args):
+            raise error("no result")
+
+        monkeypatch.setattr(cli, stage, failing)
+        assert main([command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no result\n"
 
 
 # --- fuzzing: INI text from the known sections and keys, with odd values ----

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fcqkd import (
@@ -331,6 +331,12 @@ def reference_error(alice, bob, ln, order):
 PAIRINGS = [(a, b) for a in (PM, AM, UM) for b in (PM, AM, UM)]
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
 COUPLING_SCALE = st.floats(min_value=0.1, max_value=10.0)
+# A bias at least 0.1 rad from every multiple of pi/2
+CLEAR_BIAS = st.builds(
+    lambda t, n: t + n * 0.5 * math.pi,
+    st.floats(min_value=0.1, max_value=0.5 * math.pi - 0.1),
+    st.integers(min_value=-2, max_value=1),
+)
 
 
 def rescaled(mod, s):
@@ -441,6 +447,12 @@ class TestExactInvariants:
         if kinds == (PM, PM):
             assert abs(total - loss) <= 1e-12
 
+    # Alice's coefficient sat exactly on the zero rule's threshold, and
+    # rescaling her couplings moved it across
+    @example(
+        kinds=(AM, UM), ms=[0.19921875, 0.25], angles=[1e-12, 0.0, 0.0, 0.0, 1.0], loss=1.0,
+        scales=[1.75, 1.5],
+    )
     @given(
         st.sampled_from(PAIRINGS),
         st.lists(st.floats(min_value=0.01, max_value=1.5), min_size=2, max_size=2),
@@ -472,3 +484,39 @@ class TestExactInvariants:
             assert big.power(k) / big.total_power() == pytest.approx(
                 base.power(k) / base.total_power(), abs=1e-12
             )
+
+    @given(
+        st.sampled_from(PAIRINGS),
+        st.floats(min_value=0.3, max_value=3.0),
+        st.lists(CLEAR_BIAS, min_size=2, max_size=2),
+        st.lists(ANGLE, min_size=3, max_size=3),
+        st.floats(min_value=0.05, max_value=1.0),
+    )
+    def test_first_order_error_is_quadratic(self, kinds, ratio, biases, angles, loss):
+        """err(m/2) / err(m) -> 1/4, written with its O(m^2) correction.
+
+        err = c2 m^2 + c4 m^4 + ..., so err(m/2) - err(m)/4 = -(3/16) c4 m^4 +
+        O(m^6): the ratio is 1/4 + O(m^2) wherever c2 is not zero, and the
+        difference stays O(m^4) where it is (isolated phases; there the
+        error is quartic).  Biases keep 0.1 rad from the carrier and sideband
+        nulls at multiples of pi/2, where c4 grows without bound.  Over 5784
+        edge-weighted scratch values the difference over m^4 (m the larger
+        drive) read at most 3.7, the same at m_b = 0.004 and 0.001, so the
+        band is 10 m^4: 2.6e-10 to 2.1e-8, where an error linear in m would
+        leave a difference of order m/4.
+        """
+        m_a, m_b = ratio * 0.004, 0.004
+        ln = link(angles[2], loss)
+
+        def specs(scale):
+            return (
+                make_modulator(kinds[0], scale * m_a, biases[0], angles[0]),
+                make_modulator(kinds[1], scale * m_b, biases[1], angles[1]),
+            )
+
+        # near a fringe null the relative error is set by rounding alone
+        assume(min(sideband_powers(*specs(1.0), ln)) >= 0.05)
+        band = 10.0 * max(m_a, m_b) ** 4
+        full, half = small_signal_error(*specs(1.0), ln), small_signal_error(*specs(0.5), ln)
+        for err, err_half in zip(full, half):
+            assert abs(err_half - err / 4) <= band

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fcqkd import (
@@ -316,3 +316,35 @@ class TestFringeInvariants:
             same = powers(alice, shifted_bob, link(phase, loss))
             assert moved[0] == pytest.approx(same[0], abs=1e-12)
             assert moved[1] == pytest.approx(same[1], abs=1e-12)
+
+    @example(
+        kinds=(AM, UM), ms=[0.19921875, 0.25], phases=[1e-12, 0.0, 0.0, 0.0, 1.0],
+        scales=[1.75, 1.5],
+    )
+    @given(
+        st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+        st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=2, max_size=2),
+        st.lists(angles, min_size=5, max_size=5),
+        st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=2),
+    )
+    def test_rescaled_couplings_give_the_unit_coupling_results(self, kinds, ms, phases, scales):
+        alice = make_modulator(kinds[0], ms[0], phases[0], phases[1])
+        bob = make_modulator(kinds[1], ms[1], phases[2], phases[3])
+        big_alice, big_bob = rescaled(alice, scales[0]), rescaled(bob, scales[1])
+        ln = link(phases[4])
+        assert interference_coeffs(big_alice, big_bob) == interference_coeffs(alice, bob)
+        for evaluate in (_fringe, lambda a, b: sideband_powers(a, b, ln)):
+            assert outcome(evaluate, big_alice, big_bob) == outcome(evaluate, alice, bob)
+
+
+def rescaled(mod, s):
+    """``mod`` with both couplings multiplied by ``s`` (ModulatorSpec allows it)."""
+    return ModulatorSpec(mod.kind, s * mod.eps1, s * mod.eps2, mod.m1, mod.m2, mod.psi, mod.phi)
+
+
+def outcome(evaluate, alice, bob):
+    """``evaluate(alice, bob)``, or the type and message of the error it raises."""
+    try:
+        return evaluate(alice, bob)
+    except DegenerateConfigurationError as exc:
+        return type(exc), str(exc)
