@@ -31,7 +31,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .harmonics import exact_tandem_spectrum
-from .link import _fringe, _fringe_powers, sideband_powers_direct
+from .link import _direct_powers, _fringe, _fringe_powers
 from .modulator import ModulatorSpec
 from .montecarlo import run_session
 from .protocols import (
@@ -132,8 +132,7 @@ def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
     for k in range(cfg.sweep_steps):
         delta = cfg.sweep_start + span * k / cfg.sweep_steps
         bob_phi = _bob_phi_for(cfg, offset, delta)
-        bob = dataclasses.replace(cfg.bob, phi=bob_phi)
-        direct_up, direct_low = sideband_powers_direct(cfg.alice, bob, cfg.link)
+        direct_up, direct_low = _direct_powers(cfg.alice, cfg.bob, bob_phi, cfg.link)
         closed_up, closed_low = _fringe_powers(
             vis, offset, bob_phi - cfg.alice.phi + cfg.link.link_phase
         )

@@ -17,15 +17,15 @@ exp(j*m*cos x) = sum_k j^k J_k(m) exp(j*k*x) is the identity it sums).
 
 Arm 2 is driven with m2 = 0 or m2 = m1, so a modulator's field takes one
 exp: with E = exp(j*m1*cos(theta + phi)), arm 2's factor is 1 or conj(E).
-Fields are sampled as rows on one phase grid per transform size, and one
-FFT call transforms every row at once.  A small-signal error point stacks
-Alice's field, Bob's field and the tandem product, and reads the exact
-interference weights (J_0 and J_1 of each modulator) and the tandem's
-first harmonics from that transform; the validity survey stacks all the
-points of one pairing into one such transform (a batch per pairing, not
-per survey, keeps its arrays small).  The truncation rule applies to each
-row: the power outside |k| <= order must stay below 1e-12 of the row's
-total.
+Fields are sampled as rows on one phase grid per transform size, built
+once, cached read-only and shared by every call; one FFT call transforms
+every row at once.  A small-signal error point stacks Alice's field, Bob's
+field and the tandem product, and reads the exact interference weights
+(J_0 and J_1 of each modulator) and the tandem's first harmonics from that
+transform; the validity survey stacks all the points of one pairing into
+one such transform (a batch per pairing, not per survey, keeps its arrays
+small).  The truncation rule applies to each row: the power outside
+|k| <= order must stay below 1e-12 of the row's total.
 
 The same sideband conventions as the first-order model apply, so the
 k = +/-1 lines converge to the small-signal band amplitudes as the drive
@@ -135,10 +135,23 @@ def _field(theta: np.ndarray, phase, m, c1, c2, mirrored: bool) -> np.ndarray:
     return field
 
 
+# Phase grids by transform size: 32 to 1024 samples, so at most six.
+_PHASE_GRIDS: dict[int, np.ndarray] = {}
+
+
 def _phases(order: int) -> np.ndarray:
-    """The 2**ceil(log2(4*order + 2)) equispaced RF phases sampled at ``order``."""
+    """The 2**ceil(log2(4*order + 2)) equispaced RF phases sampled at ``order``.
+
+    One shared, read-only array per transform size; ``_field`` adds the
+    drive phase into a new array and never writes to the grid.
+    """
     n = 1 << (4 * order + 1).bit_length()
-    return np.arange(n) * (2.0 * math.pi / n)
+    grid = _PHASE_GRIDS.get(n)
+    if grid is None:
+        grid = np.arange(n) * (2.0 * math.pi / n)
+        grid.flags.writeable = False
+        _PHASE_GRIDS[n] = grid
+    return grid
 
 
 def _spectrum(rows: np.ndarray, order: int) -> np.ndarray:

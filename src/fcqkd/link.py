@@ -24,14 +24,7 @@ from .errors import (
     InvalidParameterError,
     PhaseUndefinedError,
 )
-from .modulator import (
-    _COUPLING,
-    ModulatorSpec,
-    ThreeBandField,
-    band_amplitudes,
-    carrier_amplitude,
-    sideband_factor,
-)
+from .modulator import _COUPLING, ModulatorSpec, carrier_amplitude, sideband_factor
 
 
 @dataclass(frozen=True)
@@ -57,32 +50,10 @@ class LinkSpec:
             raise InvalidParameterError("link_phase must be finite")
 
 
-def propagate(field: ThreeBandField, link: LinkSpec) -> ThreeBandField:
-    """Apply the span: common delay phase on the sidebands plus flat loss.
-
-    The carrier's common propagation phase is dropped; relative to it the
-    upper band accumulates exp(-j*link_phase) and the lower band the
-    conjugate factor.
-    """
-    amp = math.sqrt(link.loss)
-    rot = cmath.exp(-1j * link.link_phase)
-    return ThreeBandField(
-        carrier=amp * field.carrier,
-        lower=amp * field.lower * rot.conjugate(),
-        upper=amp * field.upper * rot,
-    )
-
-
-def cascade(alice_prop: ThreeBandField, bob: ThreeBandField) -> ThreeBandField:
-    """Combine the propagated field with Bob's modulator to first order.
-
-    Second-order products of sidebands are dropped, consistent with the
-    small-signal band amplitudes feeding this function.
-    """
-    return ThreeBandField(
-        carrier=alice_prop.carrier * bob.carrier,
-        lower=bob.carrier * alice_prop.lower + alice_prop.carrier * bob.lower,
-        upper=bob.carrier * alice_prop.upper + alice_prop.carrier * bob.upper,
+def _no_sideband_light() -> DegenerateConfigurationError:
+    """The error of a pairing whose two interference coefficients are both zero."""
+    return DegenerateConfigurationError(
+        "no sideband light: both interference coefficients are zero"
     )
 
 
@@ -139,9 +110,7 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
     b = abs(bob_coeff)
     low, high = (a, b) if a <= b else (b, a)
     if high == 0.0:
-        raise DegenerateConfigurationError(
-            "no sideband light: both interference coefficients are zero"
-        )
+        raise _no_sideband_light()
     r = low / high
     return min(1.0, 2.0 * r / (1.0 + r * r))
 
@@ -170,9 +139,7 @@ def _fringe(
         (bob.kind, bob.m1, cmath.exp(1j * bob.psi)),
     )
     if a_zero and b_zero:
-        raise DegenerateConfigurationError(
-            "no sideband light: both interference coefficients are zero"
-        )
+        raise _no_sideband_light()
     if a_zero or b_zero:
         return a, b, 0.0, None
     return a, b, visibility(a, b), phase_offset(a, b)
@@ -213,12 +180,38 @@ def sideband_powers_direct(
     |Alice's upper band| and the reverse for Bob, and both are taken
     relative to their hypot so that no drive index overflows the squares.
     """
-    a, b = band_amplitudes(alice), band_amplitudes(bob)
-    scale = math.hypot(abs(b.carrier) * abs(a.upper), abs(a.carrier) * abs(b.upper))
+    return _direct_powers(alice, bob, bob.phi, link)
+
+
+def _direct_powers(
+    alice: ModulatorSpec, bob: ModulatorSpec, bob_phi: float, link: LinkSpec
+) -> tuple[float, float]:
+    """:func:`sideband_powers_direct` with Bob driven at the RF phase ``bob_phi``.
+
+    Each modulator gives a carrier and the sidebands s*e^{+/-j phi}; the
+    span scales Alice's bands by sqrt(loss) and turns her upper (lower)
+    sideband by e^{-j link_phase} (its conjugate); Bob multiplies, and the
+    second-order products of sidebands are dropped.
+    """
+    a_u = cmath.exp(1j * alice.psi)
+    b_u = cmath.exp(1j * bob.psi)
+    a_side = sideband_factor(alice.eps1, alice.eps2, alice.m1, alice.m2, a_u)
+    b_side = sideband_factor(bob.eps1, bob.eps2, bob.m1, bob.m2, b_u)
+    a_carrier = carrier_amplitude(alice.eps1, alice.eps2, a_u)
+    b_carrier = carrier_amplitude(bob.eps1, bob.eps2, b_u)
+    a_upper = a_side * cmath.exp(1j * alice.phi)
+    b_upper = b_side * cmath.exp(1j * bob_phi)
+    scale = math.hypot(abs(b_carrier) * abs(a_upper), abs(a_carrier) * abs(b_upper))
     if scale == 0.0:
-        raise DegenerateConfigurationError(
-            "no sideband light: both interference coefficients are zero"
-        )
+        raise _no_sideband_light()
+    a_lower = a_side * cmath.exp(-1j * alice.phi)
+    b_lower = b_side * cmath.exp(-1j * bob_phi)
+    amp = math.sqrt(link.loss)
+    rot = cmath.exp(-1j * link.link_phase)
+    a_carrier = amp * a_carrier  # Alice's bands after the span
+    a_upper = amp * a_upper * rot
+    a_lower = amp * a_lower * rot.conjugate()
+    upper = b_carrier * a_upper + a_carrier * b_upper
+    lower = b_carrier * a_lower + a_carrier * b_lower
     norm = 2.0 * link.loss
-    out = cascade(propagate(a, link), b)
-    return (abs(out.upper) / scale) ** 2 / norm, (abs(out.lower) / scale) ** 2 / norm
+    return (abs(upper) / scale) ** 2 / norm, (abs(lower) / scale) ** 2 / norm

@@ -22,11 +22,9 @@ are normalized to a unit input field.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -105,14 +103,6 @@ class ModulatorSpec:
             )
 
 
-class ThreeBandField(NamedTuple):
-    """Complex amplitudes at the carrier and the two first-order sidebands."""
-
-    carrier: complex
-    lower: complex
-    upper: complex
-
-
 def make_modulator(
     kind: ModulatorKind,
     m: float,
@@ -167,14 +157,3 @@ def sideband_factor(eps1: float, eps2: float, m1: float, m2: float, u):
     exp(+/-j phi) on top of this factor.
     """
     return 0.5j * (eps1 * m1 * u - eps2 * m2 * u.conjugate())
-
-
-def band_amplitudes(mod: ModulatorSpec) -> ThreeBandField:
-    """First-order three-band output field of a single modulator."""
-    u = cmath.exp(1j * mod.psi)
-    s = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, u)
-    return ThreeBandField(
-        carrier=carrier_amplitude(mod.eps1, mod.eps2, u),
-        lower=s * cmath.exp(-1j * mod.phi),
-        upper=s * cmath.exp(1j * mod.phi),
-    )

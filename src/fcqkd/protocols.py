@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, PhaseUndefinedError
 from .link import _coefficients, phase_offset
-from .modulator import ModulatorKind, ModulatorSpec, _require_finite
+from .modulator import ModulatorKind, ModulatorSpec, _coupling, _require_finite
 
 B92 = "B92"
 BB84 = "BB84"
@@ -82,6 +82,12 @@ def _required_shift(protocol: str) -> float:
     if protocol == BB84:
         return 0.5 * math.pi
     raise InvalidParameterError(f"unknown protocol {protocol!r}, expected B92 or BB84")
+
+
+def _check_kinds(alice_kind, bob_kind) -> None:
+    """Reject an unknown kind on either side with :class:`InvalidParameterError`."""
+    _coupling(alice_kind)
+    _coupling(bob_kind)
 
 
 def _unit_coeffs(alice_kind, bob_kind, u_a, u_b):
@@ -171,6 +177,7 @@ def classify_pair(
     coefficients; the canonical labels come from the reference table for
     readability only.
     """
+    _check_kinds(alice_kind, bob_kind)
     psi = _bias_grid(psi_grid)
     n = psi.size
     u = np.exp(1j * psi)
@@ -360,6 +367,7 @@ def evaluate_pair(
 
     Raises :class:`PhaseUndefinedError` where a coefficient vanishes.
     """
+    _check_kinds(alice_kind, bob_kind)
     psi_a = _require_finite("psi_a", psi_a)
     psi_b = _require_finite("psi_b", psi_b)
     a, b, a_zero, b_zero = _coeffs_at(alice_kind, bob_kind, psi_a, psi_b)
@@ -382,6 +390,7 @@ def compare_row_with_reference(
     A grid or constrained point where a coefficient vanishes raises
     :class:`PhaseUndefinedError`.
     """
+    _check_kinds(alice_kind, bob_kind)
     psi = _bias_grid(psi_grid)
     n = psi.size
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]

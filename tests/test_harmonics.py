@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 
 from fcqkd import (
@@ -23,7 +23,7 @@ from fcqkd import (
     small_signal_error,
 )
 from fcqkd import harmonics
-from fcqkd.modulator import band_amplitudes, carrier_amplitude, sideband_factor
+from fcqkd.modulator import carrier_amplitude, sideband_factor
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
@@ -35,6 +35,12 @@ def link(phase=0.0, loss=1.0):
 def solo_spectrum(mod, order=None):
     """One modulator's spectrum: the tandem's with an undriven Bob over a lossless span."""
     return exact_tandem_spectrum(mod, make_modulator(PM, 0.0), link(), order)
+
+
+def first_order_bands(mod):
+    """(lower, upper) first-order sidebands: the sideband factor times e^{-/+j phi}."""
+    side = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, cmath.exp(1j * mod.psi))
+    return side * cmath.exp(-1j * mod.phi), side * cmath.exp(1j * mod.phi)
 
 
 def assert_jacobi_anger(x):
@@ -112,10 +118,8 @@ class TestModulatorSpectrum:
         for m in (0.02, 0.04, 0.08):
             mod = make_modulator(UM, m, 0.4, 0.7)
             spectrum = solo_spectrum(mod)
-            bands = band_amplitudes(mod)
-            dev = max(
-                abs(spectrum.amp(1) - bands.upper), abs(spectrum.amp(-1) - bands.lower)
-            ) / abs(bands.upper)
+            lower, upper = first_order_bands(mod)
+            dev = max(abs(spectrum.amp(1) - upper), abs(spectrum.amp(-1) - lower)) / abs(upper)
             assert dev <= m * m / 4
             deviations.append(dev)
         assert deviations[1] / deviations[0] == pytest.approx(4.0, rel=0.15)
@@ -126,8 +130,8 @@ class TestModulatorSpectrum:
         for m in (0.02, 0.05, 0.1):
             mod = make_modulator(kind, m, 0.4, 0.2)
             spectrum = solo_spectrum(mod)
-            bands = band_amplitudes(mod)
-            dev = abs(spectrum.amp(1) - bands.upper) / abs(bands.upper)
+            _, upper = first_order_bands(mod)
+            dev = abs(spectrum.amp(1) - upper) / abs(upper)
             assert dev <= m * m / 4
 
 
@@ -376,6 +380,39 @@ class TestOneExpField:
         got = harmonics._field(theta, *harmonics._field_params(mod, delay, scale), bool(mod.m2))
         want = reference_field(mod, theta, delay, scale)
         assert np.max(np.abs(got - want)) <= 1e-15 * (mod.eps1 + mod.eps2) * scale
+
+
+def fresh_phases(order):
+    """A newly built, writable phase grid of the size ``harmonics._phases`` picks."""
+    n = 1 << (4 * order + 1).bit_length()
+    return np.arange(n) * (2.0 * math.pi / n)
+
+
+class TestPhaseGrid:
+    def test_one_read_only_grid_per_transform_size(self):
+        grids = {order: harmonics._phases(order) for order in range(5, harmonics.MAX_ORDER + 1)}
+        assert {grid.size for grid in grids.values()} == {32, 64, 128, 256, 512, 1024}
+        assert len({id(grid) for grid in grids.values()}) == 6
+        assert harmonics._phases(10) is harmonics._phases(11)  # both 64 samples
+        grid = grids[11]
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        assert np.array_equal(grid, fresh_phases(11))
+
+    @given(lattices())
+    def test_cached_grid_matches_a_fresh_one(self, points):
+        alice, bob, ln = points[0]
+        spectrum = exact_tandem_spectrum(alice, bob, ln).amps
+        try:
+            errors = harmonics._error_points(points)
+        except InvalidParameterError:
+            reject()  # a degenerate pairing has no error points
+        with mock.patch.object(harmonics, "_phases", fresh_phases):
+            assert np.array_equal(exact_tandem_spectrum(alice, bob, ln).amps, spectrum)
+            assert harmonics._error_points(points) == errors
+        # the error points read the grid without changing it
+        assert np.array_equal(exact_tandem_spectrum(alice, bob, ln).amps, spectrum)
 
 
 class TestErrorPoints:

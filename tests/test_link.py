@@ -1,5 +1,6 @@
 import cmath
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import assume, example, given
@@ -16,8 +17,8 @@ from fcqkd import (
     sideband_powers,
     sideband_powers_direct,
 )
-from fcqkd.link import _fringe, cascade, phase_offset, propagate, visibility
-from fcqkd.modulator import ThreeBandField, band_amplitudes
+from fcqkd.link import _direct_powers, _fringe, phase_offset, visibility
+from fcqkd.modulator import carrier_amplitude, sideband_factor
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 KINDS = [PM, AM, UM]
@@ -43,52 +44,146 @@ def test_link_spec_validation():
         LinkSpec(rf_frequency=1.0, link_phase=math.inf)
 
 
+class ThreeBandField(NamedTuple):
+    """Complex amplitudes at the carrier and the two first-order sidebands."""
+
+    carrier: complex
+    lower: complex
+    upper: complex
+
+
+def band_amplitudes(mod: ModulatorSpec) -> ThreeBandField:
+    """First-order three-band output field of a single modulator."""
+    u = cmath.exp(1j * mod.psi)
+    s = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, u)
+    return ThreeBandField(
+        carrier=carrier_amplitude(mod.eps1, mod.eps2, u),
+        lower=s * cmath.exp(-1j * mod.phi),
+        upper=s * cmath.exp(1j * mod.phi),
+    )
+
+
+def propagate(field: ThreeBandField, link: LinkSpec) -> ThreeBandField:
+    """The span: common delay phase on the sidebands plus flat loss."""
+    amp = math.sqrt(link.loss)
+    rot = cmath.exp(-1j * link.link_phase)
+    return ThreeBandField(
+        carrier=amp * field.carrier,
+        lower=amp * field.lower * rot.conjugate(),
+        upper=amp * field.upper * rot,
+    )
+
+
+def cascade(alice_prop: ThreeBandField, bob: ThreeBandField) -> ThreeBandField:
+    """The propagated field through Bob's modulator, to first order."""
+    return ThreeBandField(
+        carrier=alice_prop.carrier * bob.carrier,
+        lower=bob.carrier * alice_prop.lower + alice_prop.carrier * bob.lower,
+        upper=bob.carrier * alice_prop.upper + alice_prop.carrier * bob.upper,
+    )
+
+
+def cascade_powers(alice, bob, link):
+    """The direct powers built band by band from the three-band tuples above (the oracle)."""
+    a, b = band_amplitudes(alice), band_amplitudes(bob)
+    scale = math.hypot(abs(b.carrier) * abs(a.upper), abs(a.carrier) * abs(b.upper))
+    if scale == 0.0:
+        raise DegenerateConfigurationError(
+            "no sideband light: both interference coefficients are zero"
+        )
+    norm = 2.0 * link.loss
+    out = cascade(propagate(a, link), b)
+    return (abs(out.upper) / scale) ** 2 / norm, (abs(out.lower) / scale) ** 2 / norm
+
+
+# Biases drawn freely or on the exact nulls, drives down to zero, so that
+# degenerate pairings (no sideband light) come up too.
+biases = st.one_of(angles, st.sampled_from([0.0, math.pi / 2, math.pi]))
+drives = st.one_of(st.floats(min_value=0.0, max_value=2.0), st.just(0.0))
+
+
+class TestDirectKernel:
+    @example(AM, AM, 0.1, 0.2, 0.0, 0.0, 0.3, 0.4, 0.5, 0.5)  # no sideband light
+    @example(UM, PM, 0.1, 0.0, math.pi / 2, 0.0, 0.3, 0.4, 0.5, 1e-3)  # one side dark
+    @given(
+        st.sampled_from(KINDS), st.sampled_from(KINDS), drives, drives,
+        biases, biases, angles, angles, angles, st.floats(min_value=1e-3, max_value=1.0),
+    )
+    def test_matches_the_three_band_cascade(self, ka, kb, ma, mb, pa, pb, fa, fb, phase, loss):
+        alice = make_modulator(ka, ma, pa, fa)
+        bob = make_modulator(kb, mb, pb, fb)
+        ln = link(phase, loss)
+        want = outcome(cascade_powers, alice, bob, ln)
+        assert outcome(sideband_powers_direct, alice, bob, ln) == want
+        # Bob's drive phase as an argument, as the sweep passes it
+        undriven_phase = make_modulator(kb, mb, pb, 0.0)
+        assert outcome(_direct_powers, alice, undriven_phase, fb, ln) == want
+
+
 class TestPropagate:
+    """The span, seen through the direct powers."""
+
     def test_identity_at_zero_length(self):
-        field = ThreeBandField(1.0, 0.1j, 0.1j)
-        out = propagate(field, link(0.0, 1.0))
-        assert out == field
+        # two PMs over a lossless zero-length span: upper band (j/2)(m_a e^{j fa} + m_b e^{j fb})
+        ma, mb, fa, fb = 0.1, 0.05, 0.3, 1.1
+        powers = sideband_powers_direct(
+            make_modulator(PM, ma, 0.0, fa), make_modulator(PM, mb, 0.0, fb), link(0.0, 1.0)
+        )
+        norm = 2.0 * (ma**2 + mb**2)
+        upper = abs(ma * cmath.exp(1j * fa) + mb * cmath.exp(1j * fb)) ** 2 / norm
+        lower = abs(ma * cmath.exp(-1j * fa) + mb * cmath.exp(-1j * fb)) ** 2 / norm
+        assert powers == pytest.approx((upper, lower), rel=1e-12)
 
     def test_pi_phase_flips_sidebands(self):
-        c = 0.02 + 0.05j
-        out = propagate(ThreeBandField(1.0, c, c), link(math.pi, 1.0))
-        assert out.carrier == pytest.approx(1.0)
-        assert out.lower == pytest.approx(-c, abs=1e-15)
-        assert out.upper == pytest.approx(-c, abs=1e-15)
+        alice, bob = make_modulator(PM, 0.1, 0.0, 0.4), make_modulator(PM, 0.1, 0.0, 0.4)
+        assert sideband_powers_direct(alice, bob, link(0.0)) == pytest.approx((1.0, 1.0))
+        # the span negates Alice's sidebands: the bright fringe turns dark
+        dark = sideband_powers_direct(alice, bob, link(math.pi))
+        assert dark == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_quarter_turn_with_loss(self):
-        out = propagate(ThreeBandField(1.0, 0.1j, 0.1j), link(math.pi / 2, 0.25))
-        assert out.carrier == pytest.approx(0.5)
-        # upper rotates by -pi/2: j*0.1 -> 0.1; lower by +pi/2: j*0.1 -> -0.1
-        assert out.upper == pytest.approx(0.05, abs=1e-15)
-        assert out.lower == pytest.approx(-0.05, abs=1e-15)
+        # unit-visibility UM-AM pairing, offset +pi/2: the upper band turns by -pi/2
+        # and the lower by +pi/2, so the fringe argument pi/2 darkens the upper
+        # counter and lights the lower one; the loss cancels
+        alice = make_modulator(UM, 0.1, 0.0, 0.0)
+        bob = make_modulator(AM, 0.05, math.pi / 4, 0.0)
+        p_up, p_low = sideband_powers_direct(alice, bob, link(math.pi / 2, 0.25))
+        assert p_up == pytest.approx(0.0, abs=1e-12)
+        assert p_low == pytest.approx(1.0, abs=1e-12)
 
-    @given(angles, st.floats(min_value=0.0, max_value=6.0))
-    def test_lossless_power_conservation(self, phase, arg):
-        field = ThreeBandField(0.7 * cmath.exp(1j * arg), 0.2j, 0.1 - 0.05j)
-        out = propagate(field, link(phase, 1.0))
-        assert sum(abs(x) ** 2 for x in out) == pytest.approx(
-            sum(abs(x) ** 2 for x in field), rel=1e-12
-        )
+    @given(st.sampled_from(KINDS), st.sampled_from(KINDS), indices, indices, angles, angles, angles)
+    def test_lossless_power_conservation(self, ka, kb, ma, mb, pa, pb, phase):
+        # over a lossless span the interference term cancels between opposite
+        # Bob drive phases: each band's two powers sum to the incoherent total
+        alice = make_modulator(ka, ma, pa, 0.0)
+        a, b = interference_coeffs(alice, make_modulator(kb, mb, pb))
+        assume(max(abs(a), abs(b)) > 1e-9)
+        ln = link(phase, 1.0)
+        one = sideband_powers_direct(alice, make_modulator(kb, mb, pb, 0.7), ln)
+        opposite = sideband_powers_direct(alice, make_modulator(kb, mb, pb, 0.7 + math.pi), ln)
+        assert one[0] + opposite[0] == pytest.approx(1.0, abs=1e-12)
+        assert one[1] + opposite[1] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCascade:
+    """Bob's modulator, seen through the direct powers."""
+
     def test_identity_bob(self):
-        alice = band_amplitudes(make_modulator(UM, 0.1, 0.2, 0.3))
-        out = cascade(alice, ThreeBandField(1.0, 0j, 0j))
-        assert out == alice
+        # an undriven Bob passes Alice's bands unchanged: each carries half the total
+        alice = make_modulator(UM, 0.1, 0.2, 0.3)
+        powers = sideband_powers_direct(alice, make_modulator(PM, 0.0), link(0.6, 0.5))
+        assert powers == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_identity_alice(self):
-        bob = band_amplitudes(make_modulator(AM, 0.1, 0.4, 0.1))
-        out = cascade(ThreeBandField(1.0, 0j, 0j), bob)
-        assert out == bob
+        bob = make_modulator(AM, 0.1, 0.4, 0.1)
+        powers = sideband_powers_direct(make_modulator(PM, 0.0), bob, link(0.6, 0.5))
+        assert powers == pytest.approx((0.5, 0.5), abs=1e-15)
 
     def test_opposed_phase_modulators_cancel(self):
-        alice = band_amplitudes(make_modulator(PM, 0.1, 0.0, 0.0))
-        bob = band_amplitudes(make_modulator(PM, 0.1, 0.0, math.pi))
-        out = cascade(propagate(alice, link(0.0)), bob)
-        assert abs(out.upper) == pytest.approx(0.0, abs=1e-16)
-        assert abs(out.lower) == pytest.approx(0.0, abs=1e-16)
+        alice = make_modulator(PM, 0.1, 0.0, 0.0)
+        bob = make_modulator(PM, 0.1, 0.0, math.pi)
+        powers = sideband_powers_direct(alice, bob, link(0.0))
+        assert powers == pytest.approx((0.0, 0.0), abs=1e-15)
 
 
 class TestInterferenceCoeffs:
@@ -342,9 +437,9 @@ def rescaled(mod, s):
     return ModulatorSpec(mod.kind, s * mod.eps1, s * mod.eps2, mod.m1, mod.m2, mod.psi, mod.phi)
 
 
-def outcome(evaluate, alice, bob):
-    """``evaluate(alice, bob)``, or the type and message of the error it raises."""
+def outcome(evaluate, *args):
+    """``evaluate(*args)``, or the type and message of the error it raises."""
     try:
-        return evaluate(alice, bob)
+        return evaluate(*args)
     except DegenerateConfigurationError as exc:
         return type(exc), str(exc)

@@ -13,12 +13,23 @@ from fcqkd import (
     index_from_voltage,
     make_modulator,
 )
-from fcqkd.modulator import band_amplitudes
+from fcqkd.modulator import carrier_amplitude, sideband_factor
 
 KINDS = [ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM]
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 indices = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
+
+
+def bands(mod):
+    """(carrier, lower, upper) of one modulator from the two band helpers."""
+    u = cmath.exp(1j * mod.psi)
+    side = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, u)
+    return (
+        carrier_amplitude(mod.eps1, mod.eps2, u),
+        side * cmath.exp(-1j * mod.phi),
+        side * cmath.exp(1j * mod.phi),
+    )
 
 
 def test_make_pm():
@@ -100,47 +111,47 @@ def test_bias_phase_from_voltage():
 
 
 def test_pm_bands():
-    field = band_amplitudes(make_modulator(ModulatorKind.PM, 0.2, 0.0, 0.0))
-    assert field.carrier == pytest.approx(1.0)
-    assert field.upper == pytest.approx(0.1j)
-    assert field.lower == pytest.approx(0.1j)
+    carrier, lower, upper = bands(make_modulator(ModulatorKind.PM, 0.2, 0.0, 0.0))
+    assert carrier == pytest.approx(1.0)
+    assert upper == pytest.approx(0.1j)
+    assert lower == pytest.approx(0.1j)
 
 
 def test_am_bands_quarter_bias():
     # direct evaluation: carrier 2*(1/2)*cos(pi/4); sidebands
     # (j/2)*(1/2)*0.1*(e^{j pi/4} - e^{-j pi/4}) = -0.05*sin(pi/4)
-    field = band_amplitudes(make_modulator(ModulatorKind.AM, 0.1, math.pi / 4, 0.0))
-    assert field.carrier == pytest.approx(math.cos(math.pi / 4))
+    carrier, lower, upper = bands(make_modulator(ModulatorKind.AM, 0.1, math.pi / 4, 0.0))
+    assert carrier == pytest.approx(math.cos(math.pi / 4))
     expected = 0.5j * 0.5 * 0.1 * (cmath.exp(1j * math.pi / 4) - cmath.exp(-1j * math.pi / 4))
     assert expected == pytest.approx(-0.05 * math.sin(math.pi / 4))
-    assert field.upper == pytest.approx(expected)
-    assert field.lower == pytest.approx(expected)
+    assert upper == pytest.approx(expected)
+    assert lower == pytest.approx(expected)
 
 
 def test_um_carrier_suppression():
-    field = band_amplitudes(make_modulator(ModulatorKind.UM, 0.1, math.pi / 2, 0.0))
-    assert abs(field.carrier) == pytest.approx(0.0, abs=1e-15)
+    carrier, _, _ = bands(make_modulator(ModulatorKind.UM, 0.1, math.pi / 2, 0.0))
+    assert abs(carrier) == pytest.approx(0.0, abs=1e-15)
 
 
 @given(angles)
 def test_am_bands_symmetric_at_zero_phi(psi):
-    field = band_amplitudes(make_modulator(ModulatorKind.AM, 0.1, psi, 0.0))
-    assert field.upper == pytest.approx(field.lower)
+    _, lower, upper = bands(make_modulator(ModulatorKind.AM, 0.1, psi, 0.0))
+    assert upper == pytest.approx(lower)
 
 
 @given(st.sampled_from(KINDS), indices, angles, angles)
 def test_sideband_magnitude_independent_of_phi(kind, m, psi, phi):
-    ref = band_amplitudes(make_modulator(kind, m, psi, 0.0))
-    rot = band_amplitudes(make_modulator(kind, m, psi, phi))
-    assert abs(rot.upper) == pytest.approx(abs(ref.upper), abs=1e-15)
-    assert abs(rot.lower) == pytest.approx(abs(ref.lower), abs=1e-15)
+    _, ref_lower, ref_upper = bands(make_modulator(kind, m, psi, 0.0))
+    _, lower, upper = bands(make_modulator(kind, m, psi, phi))
+    assert abs(upper) == pytest.approx(abs(ref_upper), abs=1e-15)
+    assert abs(lower) == pytest.approx(abs(ref_lower), abs=1e-15)
 
 
 @given(indices)
 def test_pm_exact_magnitudes(m):
-    field = band_amplitudes(make_modulator(ModulatorKind.PM, m, 0.0, 0.0))
-    assert abs(field.carrier) == 1.0
-    assert abs(field.upper) == pytest.approx(m / 2, abs=1e-16)
+    carrier, _, upper = bands(make_modulator(ModulatorKind.PM, m, 0.0, 0.0))
+    assert abs(carrier) == 1.0
+    assert abs(upper) == pytest.approx(m / 2, abs=1e-16)
 
 
 @given(st.sampled_from(KINDS), indices, angles, st.floats(min_value=0.1, max_value=10))
@@ -149,8 +160,5 @@ def test_coupling_scale_linearity(kind, m, psi, scale):
     scaled = ModulatorSpec(
         kind, base.eps1 * scale, base.eps2 * scale, base.m1, base.m2, psi, 0.3
     )
-    f0 = band_amplitudes(base)
-    f1 = band_amplitudes(scaled)
-    assert f1.carrier == pytest.approx(scale * f0.carrier, rel=1e-12, abs=1e-15)
-    assert f1.upper == pytest.approx(scale * f0.upper, rel=1e-12, abs=1e-15)
-    assert f1.lower == pytest.approx(scale * f0.lower, rel=1e-12, abs=1e-15)
+    for band, unit_band in zip(bands(scaled), bands(base)):
+        assert band == pytest.approx(scale * unit_band, rel=1e-12, abs=1e-15)

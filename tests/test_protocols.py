@@ -262,6 +262,22 @@ class TestArrayPath:
             assert in_class[i] == verdict.feasible
 
 
+class TestKindChecks:
+    @pytest.mark.parametrize("kinds", [("UM", AM), (AM, "UM"), (None, PM), (PM, 3)])
+    @pytest.mark.parametrize("entry", ["classify_pair", "evaluate_pair", "compare_row"])
+    def test_unknown_kind_is_a_typed_error(self, entry, kinds):
+        grid = [0.3, 0.5]
+        calls = {
+            "classify_pair": lambda: classify_pair(*kinds, grid),
+            "evaluate_pair": lambda: evaluate_pair(*kinds, 0.3, 0.5),
+            "compare_row": lambda: compare_row_with_reference(
+                *kinds, classify_pair(UM, AM, grid), grid
+            ),
+        }
+        with pytest.raises(InvalidParameterError, match="unknown modulator kind"):
+            calls[entry]()
+
+
 class TestNullRule:
     def test_evaluate_pair_at_a_null_raises(self):
         # UM carrier vanishes at pi/2; the ratio used to come back as 1.56e16
