@@ -32,7 +32,7 @@ from .errors import (
 )
 from .harmonics import exact_tandem_spectrum
 from .link import _direct_powers, _fringe, _fringe_powers
-from .modulator import ModulatorSpec
+from .modulator import _COUPLING, ModulatorSpec
 from .montecarlo import run_session
 from .protocols import (
     ROW_ORDER,
@@ -90,12 +90,13 @@ def _emit(command, header, rows, fmt, out_path) -> None:
 
 
 def _modulator_json(spec: ModulatorSpec) -> dict:
+    eps1, eps2, share = _COUPLING[spec.kind]
     return {
         "kind": spec.kind.value,
-        "eps1": spec.eps1,
-        "eps2": spec.eps2,
-        "m1": spec.m1,
-        "m2": spec.m2,
+        "eps1": eps1,
+        "eps2": eps2,
+        "m1": spec.m,
+        "m2": share * spec.m,
         "psi": spec.psi,
         "phi": spec.phi,
     }

@@ -15,8 +15,9 @@ every coefficient to machine precision, and one FFT yields them all
 SIAM Review 56(3), 2014; the Jacobi-Anger expansion
 exp(j*m*cos x) = sum_k j^k J_k(m) exp(j*k*x) is the identity it sums).
 
-Arm 2 is driven with m2 = 0 or m2 = m1, so a modulator's field takes one
-exp: with E = exp(j*m1*cos(theta + phi)), arm 2's factor is 1 or conj(E).
+The kind's row of the coupling table fixes eps1, eps2 and arm 2's drive,
+m2 = 0 or m2 = m1 = m, so a modulator's field takes one exp: with
+E = exp(j*m*cos(theta + phi)), arm 2's factor is 1 or conj(E).
 Fields are sampled as rows on one phase grid per transform size, built
 once, cached read-only and shared by every call; one FFT call transforms
 every row at once.  A small-signal error point stacks Alice's field, Bob's
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidParameterError, TruncationError
 from .link import LinkSpec, sideband_powers
-from .modulator import ModulatorSpec, _is_integer
+from .modulator import _COUPLING, ModulatorSpec, _is_integer
 
 # Highest truncation order: it bounds the transform size (at most 1024
 # samples) and the number of output rows.
@@ -102,22 +103,24 @@ def _checked_order(order: int | None, m_max: float) -> int:
 
 def _field_params(
     mod: ModulatorSpec, delay: float, scale: float
-) -> tuple[float, float, complex, complex]:
-    """(drive phase, m1, arm-1 coefficient, arm-2 coefficient) of one modulator's field.
+) -> tuple[float, float, complex, complex, bool]:
+    """(drive phase, m, arm-1 and arm-2 coefficients, whether arm 2 is driven) of a field.
 
     ``delay`` retards the drive phase and ``scale`` multiplies the field;
-    both, with the bias phasor, fold into the scalar coefficients.
+    both, with the bias phasor and the kind's couplings, fold into the
+    scalar coefficients.
     """
+    eps1, eps2, share = _COUPLING[mod.kind]
     u = scale * cmath.exp(1j * mod.psi)
-    return mod.phi - delay, mod.m1, mod.eps1 * u, mod.eps2 * u.conjugate()
+    return mod.phi - delay, mod.m, eps1 * u, eps2 * u.conjugate(), bool(share)
 
 
 def _field(theta: np.ndarray, phase, m, c1, c2, mirrored: bool) -> np.ndarray:
     """Two-arm output field c1*E + c2*(conj(E) if ``mirrored`` else 1) at the RF phases ``theta``.
 
     E = exp(j*m*cos(theta + phase)) is arm 1's phase factor.  Arm 2 is
-    driven with m2 = share*m1 and share 0 or 1 (``ModulatorSpec`` enforces
-    it), so its factor is 1 or conj(E) and one exp serves both arms.  The
+    driven with m2 = share*m and the coupling table's share is 0 or 1, so
+    its factor is 1 or conj(E) and one exp serves both arms.  The
     parameters are numbers, or (P, 1) columns that give P rows.
     """
     drive = theta + phase
@@ -191,11 +194,11 @@ def exact_tandem_spectrum(
     The tandem field is Alice's field, delayed by the span and scaled by
     sqrt(loss), times Bob's.
     """
-    order = _checked_order(order, max(alice.m1, bob.m1))
+    order = _checked_order(order, max(alice.m, bob.m))
     theta = _phases(order)
     scale = math.sqrt(link.loss) / theta.size
-    tandem = _field(theta, *_field_params(alice, link.link_phase, scale), bool(alice.m2))
-    tandem *= _field(theta, *_field_params(bob, 0.0, 1.0), bool(bob.m2))
+    tandem = _field(theta, *_field_params(alice, link.link_phase, scale))
+    tandem *= _field(theta, *_field_params(bob, 0.0, 1.0))
     coeffs = _spectrum(tandem, order)
     return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
 
@@ -214,10 +217,11 @@ def _weights(
     return complex(bob_row[0]) * a_sideband, complex(alice_row[0]) * b_sideband
 
 
-def _columns(params: list[tuple[float, float, complex, complex]]) -> tuple:
-    """The (phase, m, c1, c2) of ``_field_params`` tuples as (P, 1) columns."""
-    columns = np.array(params, dtype=complex)
-    return columns[:, :1].real, columns[:, 1:2].real, columns[:, 2:3], columns[:, 3:]
+def _columns(params: list[tuple[float, float, complex, complex, bool]]) -> tuple:
+    """``_field_params`` tuples as (P, 1) columns of (phase, m, c1, c2) and one arm-2 flag."""
+    columns = np.array([p[:4] for p in params], dtype=complex)
+    mirrored = any(p[4] for p in params)
+    return columns[:, :1].real, columns[:, 1:2].real, columns[:, 2:3], columns[:, 3:], mirrored
 
 
 def _error_points(
@@ -236,19 +240,18 @@ def _error_points(
             p_small.append(sideband_powers(alice, bob, link))
         except DegenerateConfigurationError as exc:
             raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
-    order = _checked_order(order, max(max(alice.m1, bob.m1) for alice, bob, _ in points))
+    order = _checked_order(order, max(max(alice.m, bob.m) for alice, bob, _ in points))
     theta = _phases(order)
     inv_n = 1.0 / theta.size
-    alice_mirrored = any(alice.m2 for alice, _, _ in points)
     undelayed = [_field_params(alice, 0.0, inv_n) for alice, _, _ in points]
     delayed = [
         _field_params(alice, link.link_phase, math.sqrt(link.loss)) for alice, _, link in points
     ]
     bobs = [_field_params(bob, 0.0, inv_n) for _, bob, _ in points]
-    bob_fields = _field(theta, *_columns(bobs), any(bob.m2 for _, bob, _ in points))
-    tandems = _field(theta, *_columns(delayed), alice_mirrored)
+    bob_fields = _field(theta, *_columns(bobs))
+    tandems = _field(theta, *_columns(delayed))
     tandems *= bob_fields
-    rows = np.array((_field(theta, *_columns(undelayed), alice_mirrored), tandems, bob_fields))
+    rows = np.array((_field(theta, *_columns(undelayed)), tandems, bob_fields))
     alice_rows, tandem_rows, bob_rows = _spectrum(rows, order).reshape(3, len(points), -1)
     errors = []
     for (alice, bob, link), alice_row, tandem, bob_row, small in zip(

@@ -60,11 +60,10 @@ def _no_sideband_light() -> DegenerateConfigurationError:
 def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, bool]:
     """Interference coefficients and zero flags of two (kind, m, e^{j psi}) sides.
 
-    The closed form of every pairing: a kind only picks the couplings and
-    the arm-2 share of the drive index m from the coupling table, so the
-    weights are those at the kind's unit couplings.  Arrays of bias
-    phasors give arrays.  A coefficient is treated as an analytic zero when
-    it is below 1e-12 of its a-priori scale |carrier| * |sideband| <=
+    The closed form of every pairing: a kind picks the couplings and the
+    arm-2 share of the drive index m from the coupling table.  Arrays of
+    bias phasors give arrays.  A coefficient is treated as an analytic zero
+    when it is below 1e-12 of its a-priori scale |carrier| * |sideband| <=
     (eps1 m1 + eps2 m2) / 2 (the couplings sum to 1): biases like pi/2 land
     within one ulp of the exact null, where the value carries no phase
     information.
@@ -88,14 +87,13 @@ def interference_coeffs(
 
     Returns ``(alice_coeff, bob_coeff)``: Alice's sideband factor times
     Bob's carrier, and Bob's sideband factor times Alice's carrier, at the
-    kind's unit couplings (PM 1, AM/UM 1/2 per arm) whatever common scale
-    the specs' couplings carry, which no normalised output depends on.
-    The common j/2 of the sideband factor is kept in both, so it cancels in
-    visibility and phase offset.
+    couplings of each kind's row of the coupling table.  The common j/2 of
+    the sideband factor is kept in both, so it cancels in visibility and
+    phase offset.
     """
     a, b, _, _ = _coefficients(
-        (alice.kind, alice.m1, cmath.exp(1j * alice.psi)),
-        (bob.kind, bob.m1, cmath.exp(1j * bob.psi)),
+        (alice.kind, alice.m, cmath.exp(1j * alice.psi)),
+        (bob.kind, bob.m, cmath.exp(1j * bob.psi)),
     )
     return a, b
 
@@ -135,8 +133,8 @@ def _fringe(
     exactly one zero gives visibility 0 and no phase offset.
     """
     a, b, a_zero, b_zero = _coefficients(
-        (alice.kind, alice.m1, cmath.exp(1j * alice.psi)),
-        (bob.kind, bob.m1, cmath.exp(1j * bob.psi)),
+        (alice.kind, alice.m, cmath.exp(1j * alice.psi)),
+        (bob.kind, bob.m, cmath.exp(1j * bob.psi)),
     )
     if a_zero and b_zero:
         raise _no_sideband_light()
@@ -195,10 +193,12 @@ def _direct_powers(
     """
     a_u = cmath.exp(1j * alice.psi)
     b_u = cmath.exp(1j * bob.psi)
-    a_side = sideband_factor(alice.eps1, alice.eps2, alice.m1, alice.m2, a_u)
-    b_side = sideband_factor(bob.eps1, bob.eps2, bob.m1, bob.m2, b_u)
-    a_carrier = carrier_amplitude(alice.eps1, alice.eps2, a_u)
-    b_carrier = carrier_amplitude(bob.eps1, bob.eps2, b_u)
+    a_eps1, a_eps2, a_share = _COUPLING[alice.kind]
+    b_eps1, b_eps2, b_share = _COUPLING[bob.kind]
+    a_side = sideband_factor(a_eps1, a_eps2, alice.m, a_share * alice.m, a_u)
+    b_side = sideband_factor(b_eps1, b_eps2, bob.m, b_share * bob.m, b_u)
+    a_carrier = carrier_amplitude(a_eps1, a_eps2, a_u)
+    b_carrier = carrier_amplitude(b_eps1, b_eps2, b_u)
     a_upper = a_side * cmath.exp(1j * alice.phi)
     b_upper = b_side * cmath.exp(1j * bob_phi)
     scale = math.hypot(abs(b_carrier) * abs(a_upper), abs(a_carrier) * abs(b_upper))

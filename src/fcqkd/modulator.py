@@ -3,16 +3,16 @@
 A single generalized device covers the three commercial modulator types.
 Each arm i of the underlying Mach-Zehnder structure carries a coupling
 factor eps_i, a modulation index m_i (radians), a DC bias phase +/-psi and
-a common RF drive phase phi.  Selecting the coefficients specializes the
-device:
+a common RF drive phase phi.  Arm 1 is driven at m1 = m; the kind's row
+of the coupling table fixes the couplings and arm 2's drive, so a
+modulator is its kind, m, psi and phi:
 
     PM  -- single arm:            eps1 = 1,   eps2 = 0,    m2 = 0
-    AM  -- balanced push-pull:    eps1 = eps2 = 1/2,       m1 = m2
+    AM  -- balanced push-pull:    eps1 = eps2 = 1/2,       m2 = m
     UM  -- one arm modulated:     eps1 = eps2 = 1/2,       m2 = 0
 
-The coupling normalization (PM: 1, AM/UM: 1/2 per arm) is a lossless
-split-recombine picture; every downstream normalized quantity is invariant
-under a common positive rescaling of both couplings.
+The couplings (PM: 1, AM/UM: 1/2 per arm) are a lossless
+split-recombine picture.
 
 Field convention: the optical carrier is written as exp(+j*w0*t), so the
 upper sideband at w0 + W is the exp(+j*W*t) term and carries the RF phase
@@ -60,8 +60,19 @@ def _coupling(kind: ModulatorKind) -> tuple[float, float, float]:
     return _COUPLING[kind]
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+# Concrete types, not the numbers.Real ABC: its isinstance check is slower,
+# and a survey builds about 90 specs.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _require_finite(name: str, value) -> float:
+    """``value`` as a finite float; a Python or numpy real, not a ``bool``."""
+    if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise InvalidParameterError(f"{name} must be finite, got an integer past 1e308") from None
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value
@@ -74,59 +85,45 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class ModulatorSpec:
-    """Coefficient set of one generalized modulator.
+    """One generalized modulator: its kind, drive index ``m`` (radians), bias and drive phase.
 
-    Immutable; construct through :func:`make_modulator` unless a custom
-    coupling scale is wanted (e.g. for scale-invariance checks).
+    The couplings and arm 2's drive are the kind's row of the coupling table.
+    For a PM the bias ``psi`` is stored but acts as a pure global phase
+    (single arm); it cancels in every interference observable.
     """
 
     kind: ModulatorKind
-    eps1: float
-    eps2: float
-    m1: float
-    m2: float
+    m: float
     psi: float = 0.0
     phi: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps1", "eps2", "m1", "m2", "psi", "phi"):
-            _require_finite(name, getattr(self, name))
-        if self.eps1 < 0 or self.eps2 < 0:
-            raise InvalidParameterError("coupling factors must be >= 0")
-        if self.m1 < 0 or self.m2 < 0:
-            raise InvalidParameterError("modulation indices must be >= 0")
-        # Couplings may be rescaled together, so only their ratio is fixed.
-        e1, e2, share = _coupling(self.kind)
-        if self.eps2 * e1 != self.eps1 * e2 or self.m2 != share * self.m1:
-            raise InvalidParameterError(
-                f"{self.kind.value} requires eps1:eps2 = {e1}:{e2} and m2 = {share} * m1"
-            )
+        _coupling(self.kind)
+        for name in ("m", "psi", "phi"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        if self.m < 0:
+            raise InvalidParameterError(f"modulation index must be >= 0, got {self.m}")
 
 
 def make_modulator(
-    kind: ModulatorKind,
-    m: float,
-    psi: float = 0.0,
-    phi: float = 0.0,
+    kind: ModulatorKind, m: float, psi: float = 0.0, phi: float = 0.0
 ) -> ModulatorSpec:
-    """Build a modulator of the given kind with drive index ``m`` (radians).
+    """Build a modulator of the given kind with drive index ``m`` (radians)."""
+    return ModulatorSpec(kind, m, psi, phi)
 
-    For a PM the bias ``psi`` is stored but acts as a pure global phase
-    (single arm); it cancels in every interference observable.
-    """
-    m = _require_finite("m", m)
-    if m < 0:
-        raise InvalidParameterError(f"modulation index must be >= 0, got {m}")
-    eps1, eps2, share = _coupling(kind)
-    return ModulatorSpec(kind, eps1, eps2, m, share * m, psi, phi)
+
+def _require_v_pi(v_pi: float) -> float:
+    """The half-wave voltage as a float; rejects one that is not finite or not > 0."""
+    v_pi = _require_finite("v_pi", v_pi)
+    if v_pi <= 0:
+        raise InvalidParameterError(f"v_pi must be > 0, got {v_pi}")
+    return v_pi
 
 
 def index_from_voltage(v_rf: float, v_pi: float) -> float:
     """Peak phase deviation pi * v_rf / v_pi for a drive of amplitude v_rf."""
-    v_pi = _require_finite("v_pi", v_pi)
+    v_pi = _require_v_pi(v_pi)
     v_rf = _require_finite("v_rf", v_rf)
-    if v_pi <= 0:
-        raise InvalidParameterError(f"v_pi must be > 0, got {v_pi}")
     if v_rf < 0:
         raise InvalidParameterError(f"v_rf must be >= 0, got {v_rf}")
     return math.pi * v_rf / v_pi
@@ -138,10 +135,8 @@ def bias_phase_from_voltage(v_dc: float, v_pi: float) -> float:
     The arm-to-arm phase difference is 2*psi = pi * v_dc / v_pi, so v_dc =
     v_pi sits at the quadrature-difference point psi = pi/2.
     """
-    v_pi = _require_finite("v_pi", v_pi)
+    v_pi = _require_v_pi(v_pi)
     v_dc = _require_finite("v_dc", v_dc)
-    if v_pi <= 0:
-        raise InvalidParameterError(f"v_pi must be > 0, got {v_pi}")
     return math.pi * v_dc / (2.0 * v_pi)
 
 

@@ -81,7 +81,7 @@ class TestConfigParsing:
             "[alice]\nkind = PM\nv_pi_volts = 7.4\nv_rf_volts = 0.2\npsi = 0\n\n"
             "[bob]\nkind = UM\nv_pi_volts = 5.5\nm = 0.05\nv_dc_volts = 5.5\n"
         )
-        assert cfg.alice.m1 == pytest.approx(math.pi * 0.2 / 7.4)
+        assert cfg.alice.m == pytest.approx(math.pi * 0.2 / 7.4)
         assert cfg.bob.psi == pytest.approx(math.pi / 2)
 
     def test_unknown_key_rejected(self):

@@ -14,16 +14,14 @@ from fcqkd import (
     InvalidParameterError,
     LinkSpec,
     ModulatorKind,
-    ModulatorSpec,
     TruncationError,
     exact_tandem_spectrum,
     make_modulator,
     sideband_powers,
-    sideband_powers_direct,
     small_signal_error,
 )
 from fcqkd import harmonics
-from fcqkd.modulator import carrier_amplitude, sideband_factor
+from fcqkd.modulator import _COUPLING, carrier_amplitude, sideband_factor
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
@@ -39,7 +37,8 @@ def solo_spectrum(mod, order=None):
 
 def first_order_bands(mod):
     """(lower, upper) first-order sidebands: the sideband factor times e^{-/+j phi}."""
-    side = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, cmath.exp(1j * mod.psi))
+    eps1, eps2, share = _COUPLING[mod.kind]
+    side = sideband_factor(eps1, eps2, mod.m, share * mod.m, cmath.exp(1j * mod.psi))
     return side * cmath.exp(-1j * mod.phi), side * cmath.exp(1j * mod.phi)
 
 
@@ -156,10 +155,11 @@ class TestTandemSpectrum:
         # reference: each factor built from scipy's J_k at three times the
         # order, the span applied per harmonic, then convolved directly
         def factor(mod, order):
+            eps1, eps2, share = _COUPLING[mod.kind]
             k = np.arange(-order, order + 1)
             return (1j**k) * np.exp(1j * k * mod.phi) * (
-                mod.eps1 * scipy.special.jv(k, mod.m1) * cmath.exp(1j * mod.psi)
-                + mod.eps2 * scipy.special.jv(k, -mod.m2) * cmath.exp(-1j * mod.psi)
+                eps1 * scipy.special.jv(k, mod.m) * cmath.exp(1j * mod.psi)
+                + eps2 * scipy.special.jv(k, -share * mod.m) * cmath.exp(-1j * mod.psi)
             )
 
         rng = np.random.default_rng(2014)
@@ -212,13 +212,15 @@ def bessel_weights(alice, bob):
     jv = scipy.special.jv
 
     def carrier(mod):
+        eps1, eps2, share = _COUPLING[mod.kind]
         return carrier_amplitude(
-            mod.eps1 * jv(0, mod.m1), mod.eps2 * jv(0, mod.m2), cmath.exp(1j * mod.psi)
+            eps1 * jv(0, mod.m), eps2 * jv(0, share * mod.m), cmath.exp(1j * mod.psi)
         )
 
     def sideband(mod):
+        eps1, eps2, share = _COUPLING[mod.kind]
         return sideband_factor(
-            mod.eps1, mod.eps2, 2 * jv(1, mod.m1), 2 * jv(1, mod.m2), cmath.exp(1j * mod.psi)
+            eps1, eps2, 2 * jv(1, mod.m), 2 * jv(1, share * mod.m), cmath.exp(1j * mod.psi)
         )
 
     return carrier(bob) * sideband(alice), carrier(alice) * sideband(bob)
@@ -289,11 +291,12 @@ class TestSmallSignalError:
 # three rows with norm="forward" and applies the tail rule through abs()**2.
 
 def reference_field(mod, theta, delay=0.0, scale=1.0):
+    eps1, eps2, share = _COUPLING[mod.kind]
     u = scale * cmath.exp(1j * mod.psi)
     drive = np.cos(theta + (mod.phi - delay))
-    return (mod.eps1 * u) * np.exp((1j * mod.m1) * drive) + (
-        mod.eps2 * u.conjugate()
-    ) * np.exp((-1j * mod.m2) * drive)
+    return (eps1 * u) * np.exp((1j * mod.m) * drive) + (
+        eps2 * u.conjugate()
+    ) * np.exp((-1j * share * mod.m) * drive)
 
 
 def reference_spectrum(rows, order):
@@ -334,7 +337,6 @@ def reference_error(alice, bob, ln, order):
 
 PAIRINGS = [(a, b) for a in (PM, AM, UM) for b in (PM, AM, UM)]
 ANGLE = st.floats(min_value=-math.pi, max_value=math.pi)
-COUPLING_SCALE = st.floats(min_value=0.1, max_value=10.0)
 # A bias at least 0.1 rad from every multiple of pi/2
 CLEAR_BIAS = st.builds(
     lambda t, n: t + n * 0.5 * math.pi,
@@ -343,18 +345,12 @@ CLEAR_BIAS = st.builds(
 )
 
 
-def rescaled(mod, s):
-    """``mod`` with both couplings multiplied by ``s`` (ModulatorSpec allows it)."""
-    return ModulatorSpec(mod.kind, s * mod.eps1, s * mod.eps2, mod.m1, mod.m2, mod.psi, mod.phi)
-
-
 @st.composite
 def drives(draw, kind, min_m=0.0):
-    """A modulator of ``kind`` at a random drive, bias and drive phase, couplings rescaled."""
-    mod = make_modulator(
+    """A modulator of ``kind`` at a random drive, bias and drive phase."""
+    return make_modulator(
         kind, draw(st.floats(min_value=min_m, max_value=1.5)), draw(ANGLE), draw(ANGLE)
     )
-    return rescaled(mod, draw(COUPLING_SCALE))
 
 
 @st.composite
@@ -377,9 +373,9 @@ class TestOneExpField:
     )
     def test_matches_the_two_exp_field(self, mod, delay, scale, order):
         theta = harmonics._phases(order)
-        got = harmonics._field(theta, *harmonics._field_params(mod, delay, scale), bool(mod.m2))
+        got = harmonics._field(theta, *harmonics._field_params(mod, delay, scale))
         want = reference_field(mod, theta, delay, scale)
-        assert np.max(np.abs(got - want)) <= 1e-15 * (mod.eps1 + mod.eps2) * scale
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale  # the couplings sum to 1
 
 
 def fresh_phases(order):
@@ -418,7 +414,7 @@ class TestPhaseGrid:
 class TestErrorPoints:
     @given(lattices())
     def test_matches_the_per_point_error(self, points):
-        order = harmonics._checked_order(None, max(max(a.m1, b.m1) for a, b, _ in points))
+        order = harmonics._checked_order(None, max(max(a.m, b.m) for a, b, _ in points))
         try:
             want = [reference_error(*point, order) for point in points]
         except InvalidParameterError:
@@ -470,6 +466,8 @@ class TestErrorPoints:
 class TestExactInvariants:
     """ROADMAP item 5 invariants of the exact spectrum, as properties."""
 
+    # Alice's coefficient on the closed form's zero-rule threshold
+    @example(kinds=(AM, UM), ms=[0.19921875, 0.25], angles=[1e-12, 0.0, 0.0, 0.0, 1.0], loss=1.0)
     @given(
         st.sampled_from(PAIRINGS),
         st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=2, max_size=2),
@@ -483,44 +481,6 @@ class TestExactInvariants:
         assert total <= loss + 1e-12
         if kinds == (PM, PM):
             assert abs(total - loss) <= 1e-12
-
-    # Alice's coefficient sat exactly on the zero rule's threshold, and
-    # rescaling her couplings moved it across
-    @example(
-        kinds=(AM, UM), ms=[0.19921875, 0.25], angles=[1e-12, 0.0, 0.0, 0.0, 1.0], loss=1.0,
-        scales=[1.75, 1.5],
-    )
-    @given(
-        st.sampled_from(PAIRINGS),
-        st.lists(st.floats(min_value=0.01, max_value=1.5), min_size=2, max_size=2),
-        st.lists(ANGLE, min_size=5, max_size=5),
-        st.floats(min_value=0.05, max_value=1.0),
-        st.lists(COUPLING_SCALE, min_size=2, max_size=2),
-    )
-    def test_rescaled_couplings_change_no_normalised_output(self, kinds, ms, angles, loss, scales):
-        alice = make_modulator(kinds[0], ms[0], angles[0], angles[1])
-        bob = make_modulator(kinds[1], ms[1], angles[2], angles[3])
-        ln = link(angles[4], loss)
-        try:
-            closed = sideband_powers(alice, bob, ln)
-        except DegenerateConfigurationError:
-            assume(False)  # both first-order coefficients vanish
-        # near a fringe null the relative error is set by rounding alone
-        assume(min(closed) >= 0.05)
-        big_alice, big_bob = rescaled(alice, scales[0]), rescaled(bob, scales[1])
-        assert sideband_powers(big_alice, big_bob, ln) == pytest.approx(closed, abs=1e-12)
-        assert sideband_powers_direct(big_alice, big_bob, ln) == pytest.approx(
-            sideband_powers_direct(alice, bob, ln), abs=1e-12
-        )
-        assert small_signal_error(big_alice, big_bob, ln) == pytest.approx(
-            small_signal_error(alice, bob, ln), rel=1e-9, abs=1e-12
-        )
-        base = exact_tandem_spectrum(alice, bob, ln)
-        big = exact_tandem_spectrum(big_alice, big_bob, ln)
-        for k in (1, -1):
-            assert big.power(k) / big.total_power() == pytest.approx(
-                base.power(k) / base.total_power(), abs=1e-12
-            )
 
     @given(
         st.sampled_from(PAIRINGS),

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from fcqkd import (
     index_from_voltage,
     make_modulator,
 )
-from fcqkd.modulator import carrier_amplitude, sideband_factor
+from fcqkd.cli import _modulator_json
+from fcqkd.modulator import _COUPLING, carrier_amplitude, sideband_factor
 
 KINDS = [ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM]
 
@@ -23,10 +25,11 @@ indices = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
 
 def bands(mod):
     """(carrier, lower, upper) of one modulator from the two band helpers."""
+    eps1, eps2, share = _COUPLING[mod.kind]
     u = cmath.exp(1j * mod.psi)
-    side = sideband_factor(mod.eps1, mod.eps2, mod.m1, mod.m2, u)
+    side = sideband_factor(eps1, eps2, mod.m, share * mod.m, u)
     return (
-        carrier_amplitude(mod.eps1, mod.eps2, u),
+        carrier_amplitude(eps1, eps2, u),
         side * cmath.exp(-1j * mod.phi),
         side * cmath.exp(1j * mod.phi),
     )
@@ -34,58 +37,80 @@ def bands(mod):
 
 def test_make_pm():
     spec = make_modulator(ModulatorKind.PM, 0.2, 0.0, 0.0)
-    assert (spec.eps1, spec.eps2) == (1.0, 0.0)
-    assert (spec.m1, spec.m2) == (0.2, 0.0)
+    assert spec == ModulatorSpec(ModulatorKind.PM, 0.2)
+    row = _modulator_json(spec)
+    assert (row["eps1"], row["eps2"], row["m1"], row["m2"]) == (1.0, 0.0, 0.2, 0.0)
 
 
 def test_make_am():
     spec = make_modulator(ModulatorKind.AM, 0.1, math.pi / 4, math.pi / 2)
-    assert spec.eps1 == spec.eps2 == 0.5
-    assert spec.m1 == spec.m2 == 0.1
-    assert spec.psi == math.pi / 4
-    assert spec.phi == math.pi / 2
+    assert (spec.m, spec.psi, spec.phi) == (0.1, math.pi / 4, math.pi / 2)
+    row = _modulator_json(spec)
+    assert (row["eps1"], row["eps2"], row["m1"], row["m2"]) == (0.5, 0.5, 0.1, 0.1)
 
 
 def test_make_um():
     spec = make_modulator(ModulatorKind.UM, 0.1, math.pi / 3, 0.0)
-    assert spec.eps1 == spec.eps2 == 0.5
-    assert (spec.m1, spec.m2) == (0.1, 0.0)
-    assert spec.psi == math.pi / 3
+    assert (spec.m, spec.psi, spec.phi) == (0.1, math.pi / 3, 0.0)
+    row = _modulator_json(spec)
+    assert (row["eps1"], row["eps2"], row["m1"], row["m2"]) == (0.5, 0.5, 0.1, 0.0)
 
 
 def test_negative_index_rejected():
-    with pytest.raises(InvalidParameterError):
+    message = "modulation index must be >= 0, got -0.1"
+    with pytest.raises(InvalidParameterError, match=message):
         make_modulator(ModulatorKind.PM, -0.1)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_kind_pattern_enforced(kind):
-    # direct construction must respect the per-kind coefficient pattern
-    with pytest.raises(InvalidParameterError):
-        if kind is ModulatorKind.PM:
-            ModulatorSpec(kind, 1.0, 0.5, 0.1, 0.0)
-        elif kind is ModulatorKind.AM:
-            ModulatorSpec(kind, 0.5, 0.5, 0.1, 0.2)
-        else:
-            ModulatorSpec(kind, 0.5, 0.5, 0.1, 0.1)
+    with pytest.raises(InvalidParameterError, match=message):
+        ModulatorSpec(ModulatorKind.PM, -0.1)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidParameterError, match="unknown modulator kind"):
-        ModulatorSpec("PM", 1.0, 0.0, 0.1, 0.0)
+        ModulatorSpec("PM", 0.1)
     with pytest.raises(InvalidParameterError, match="unknown modulator kind"):
         make_modulator("PM", 0.1)
 
 
 @given(st.sampled_from(KINDS), indices, angles, angles)
 def test_constructor_invariants(kind, m, psi, phi):
-    spec = make_modulator(kind, m, psi, phi)
-    if kind is ModulatorKind.PM:
-        assert spec.eps2 == 0.0 and spec.m2 == 0.0
-    elif kind is ModulatorKind.AM:
-        assert spec.eps1 == spec.eps2 and spec.m1 == spec.m2
-    else:
-        assert spec.eps1 == spec.eps2 and spec.m2 == 0.0
+    # the payload reports the kind's coupling-table row, arm 2 driven at share * m
+    eps1, eps2, share = _COUPLING[kind]
+    assert _modulator_json(make_modulator(kind, m, psi, phi)) == {
+        "kind": kind.value, "eps1": eps1, "eps2": eps2, "m1": m, "m2": share * m,
+        "psi": psi, "phi": phi,
+    }
+
+
+# Inputs that are not Python or numpy reals, and reals no float holds
+NOT_REAL = ["x", "0.3", None, True, np.bool_(False), 1j, [0.1], np.array([0.1, 0.2])]
+NOT_FINITE = [math.nan, -math.inf, np.float64(math.inf), 10**400]
+
+
+@pytest.mark.parametrize("value", NOT_REAL + NOT_FINITE)
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_non_real_or_non_finite_drive_rejected(value, position):
+    args = [ModulatorKind.UM, 0.1, 0.2, 0.3]
+    args[position] = value
+    with pytest.raises(InvalidParameterError):
+        make_modulator(*args)
+    with pytest.raises(InvalidParameterError):
+        ModulatorSpec(*args)
+
+
+@pytest.mark.parametrize("value", NOT_REAL + NOT_FINITE)
+def test_non_real_or_non_finite_voltage_rejected(value):
+    for call in (index_from_voltage, bias_phase_from_voltage):
+        with pytest.raises(InvalidParameterError):
+            call(value, 5.5)
+        with pytest.raises(InvalidParameterError):
+            call(1.0, value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+def test_numpy_and_integer_reals_stored_as_floats(value):
+    spec = make_modulator(ModulatorKind.AM, value, value, value)
+    assert (spec.m, spec.psi, spec.phi) == (1.0, 1.0, 1.0)
+    assert all(type(x) is float for x in (spec.m, spec.psi, spec.phi))
 
 
 def test_index_from_voltage():
@@ -153,12 +178,3 @@ def test_pm_exact_magnitudes(m):
     assert abs(carrier) == 1.0
     assert abs(upper) == pytest.approx(m / 2, abs=1e-16)
 
-
-@given(st.sampled_from(KINDS), indices, angles, st.floats(min_value=0.1, max_value=10))
-def test_coupling_scale_linearity(kind, m, psi, scale):
-    base = make_modulator(kind, m, psi, 0.3)
-    scaled = ModulatorSpec(
-        kind, base.eps1 * scale, base.eps2 * scale, base.m1, base.m2, psi, 0.3
-    )
-    for band, unit_band in zip(bands(scaled), bands(base)):
-        assert band == pytest.approx(scale * unit_band, rel=1e-12, abs=1e-15)

@@ -175,6 +175,12 @@ class TestClassification:
         with pytest.raises(InvalidParameterError):
             compare_row_with_reference(UM, AM, row, grid)
 
+    @pytest.mark.parametrize("bad", ["0.3", "x", None, True, 1j, np.array([0.3, 0.5]), 10**400])
+    def test_non_real_bias_rejected_by_evaluate_pair(self, bad):
+        for psi_a, psi_b in ((bad, 0.5), (0.3, bad)):
+            with pytest.raises(InvalidParameterError, match="psi_"):
+                evaluate_pair(UM, AM, psi_a, psi_b)
+
     @pytest.mark.parametrize("pairing", ROW_ORDER, ids=lambda p: f"{p[0].value}-{p[1].value}")
     def test_any_one_dimensional_sequence_gives_the_same_row(self, pairing):
         # an ndarray grid used to raise numpy's "truth value ... ambiguous"

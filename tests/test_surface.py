@@ -1,5 +1,6 @@
 """The package's public surface and the names the benchmark harness calls."""
 
+import dataclasses
 import importlib
 import inspect
 
@@ -68,3 +69,15 @@ def test_bench_contract_results():
     assert spectrum.total_power() > 0
     # a drive index with no frozen ceiling falls back to the generic bound
     assert all(report.within_bound for report in survey_all(0.137))
+
+
+def test_bench_keyword_fields():
+    # bench/ passes these fields by keyword; renaming one breaks the benchmark
+    from fcqkd.link import LinkSpec
+    from fcqkd.modulator import ModulatorKind, make_modulator
+
+    spec = dataclasses.replace(make_modulator(ModulatorKind.UM, 0.1, 0.2), phi=0.7)
+    assert (spec.kind, spec.m, spec.psi, spec.phi) == (ModulatorKind.UM, 0.1, 0.2, 0.7)
+    span = LinkSpec(rf_frequency=1.0, link_phase=0.3, loss=0.5)
+    moved = dataclasses.replace(span, link_phase=0.9)
+    assert (moved.rf_frequency, moved.link_phase, moved.loss) == (1.0, 0.9, 0.5)
