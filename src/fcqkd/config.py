@@ -34,7 +34,8 @@ _SECTION_KEYS = {
     "output": {"format", "path"},
 }
 
-# Every sweep step is one output row held in memory until the sweep is written.
+# Every sweep step is one output row.  The rows are held in memory until the
+# sweep is written; the text is not, as it is encoded into its destination.
 MAX_SWEEP_STEPS = 100_000
 
 # Matches the bench this model was written around: 15 GHz drive and

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParameterError,
     PhaseUndefinedError,
 )
-from .modulator import _COUPLING, ModulatorSpec, carrier_amplitude, sideband_factor
+from .modulator import _COUPLING, ModulatorSpec, _require_real, carrier_amplitude, sideband_factor
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class LinkSpec:
     loss: float = 1.0
 
     def __post_init__(self):
+        for name in ("rf_frequency", "link_phase", "loss"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         if not (self.rf_frequency > 0 and math.isfinite(self.rf_frequency)):
             raise InvalidParameterError("rf_frequency must be positive and finite")
         if not (0.0 < self.loss <= 1.0):

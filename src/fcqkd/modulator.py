@@ -65,14 +65,19 @@ def _coupling(kind: ModulatorKind) -> tuple[float, float, float]:
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
-def _require_finite(name: str, value) -> float:
-    """``value`` as a finite float; a Python or numpy real, not a ``bool``."""
+def _require_real(name: str, value) -> float:
+    """``value`` as a float; a Python or numpy real (not a ``bool``) that a float holds."""
     if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an int beyond the float range
         raise InvalidParameterError(f"{name} must be finite, got an integer past 1e308") from None
+
+
+def _require_finite(name: str, value) -> float:
+    """``value`` as a finite float; a Python or numpy real, not a ``bool``."""
+    value = _require_real(name, value)
     if not math.isfinite(value):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return value

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import InfeasibleProtocolError, InvalidParameterError
 from .link import LinkSpec, _fringe, _fringe_powers
-from .modulator import ModulatorSpec, _is_integer
+from .modulator import ModulatorSpec, _is_integer, _require_real
 from .protocols import B92, BB84, CANONICAL_PHASES, check_protocol
 
 # Largest session numpy's multinomial draw can count (int64).
@@ -82,6 +82,8 @@ class SessionConfig:
     def __post_init__(self):
         if self.protocol not in (B92, BB84):
             raise InvalidParameterError(f"unknown protocol {self.protocol!r}")
+        for name in ("mu", "eta", "p_dark"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise InvalidParameterError(f"mu must be finite and >= 0, got {self.mu}")
         if not (0.0 <= self.eta <= 1.0):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -501,6 +502,59 @@ class TestQkdCommand:
             stats.append(json.loads(capsys.readouterr().out)["stats"])
         assert stats[0] == stats[1]
         assert stats[1]["errors"] > 0
+
+
+# Every command, and both formats where a command has two
+_RUNS = [
+    ["table2"], ["verify"], ["sweep"], ["sweep", "--format", "json"], ["spectrum"],
+    ["spectrum", "--format", "json"], ["qkd"],
+]
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("argv", _RUNS, ids=" ".join)
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, argv):
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_failed_sweep_writes_nothing(self, tmp_path, capsys, fmt, to_file):
+        # steps 0 and 1 succeed; step 2's fringe argument 2 * 1e308 / 64 overflows
+        text = config.DEFAULT_CONFIG.replace("stop = 6.283185307179586", "stop = 1e308")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, text), "--format", fmt]
+        if to_file:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: Bob's drive phase is not finite: fringe argument inf"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt, ratio", [("json", 2.5), ("csv", 3.5)])
+    def test_long_sweep_peak_stays_near_its_text(self, tmp_path, fmt, ratio):
+        # the rows are held until the sweep is written; the text never is
+        text = config.DEFAULT_CONFIG.replace("steps = 64", "steps = 10000")
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", write_config(tmp_path, text), "--format", fmt,
+                "--out", str(out)]
+        # one-time costs (the parser, first imports) stay outside the trace
+        assert main(["sweep", "--format", fmt, "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < ratio * out.stat().st_size
 
 
 class TestParserReuse:

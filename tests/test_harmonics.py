@@ -284,6 +284,21 @@ class TestSmallSignalError:
             small_signal_error(alice, bob, link(), order=10)
         assert all(math.isfinite(e) for e in small_signal_error(alice, bob, link(), order=11))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: Bob's first harmonic is read from an FFT rounded at "
+        "the carrier's scale, so near his sideband null the error is 4.3e-7 off",
+    )
+    def test_near_a_sideband_null_matches_the_series(self):
+        # a 50-digit mpmath evaluation of the Jacobi-Anger sums (harmonics to
+        # |k| = 40, the tandem's +/-1 lines as sum_n A_n B_{+/-1-n})
+        series = 0.36356306506693711
+        alice = make_modulator(AM, 1.0, 0.0, 0.0)
+        bob = make_modulator(AM, 1.0, 1.0726124200655358e-9, 0.0)
+        upper, lower = small_signal_error(alice, bob, link(0.0, 1.0))
+        assert upper == pytest.approx(series, rel=1e-12)
+        assert lower == pytest.approx(series, rel=1e-12)
+
 
 # --- the two-exp field and the per-point error, kept as the oracle ----------
 #

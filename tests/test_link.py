@@ -2,12 +2,14 @@ import cmath
 import math
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fcqkd import (
     DegenerateConfigurationError,
+    InvalidParameterError,
     LinkSpec,
     ModulatorKind,
     ModulatorSpec,
@@ -32,8 +34,6 @@ def link(phase=0.0, loss=1.0):
 
 
 def test_link_spec_validation():
-    from fcqkd import InvalidParameterError
-
     with pytest.raises(InvalidParameterError):
         LinkSpec(rf_frequency=0.0)
     with pytest.raises(InvalidParameterError):
@@ -42,6 +42,43 @@ def test_link_spec_validation():
         LinkSpec(rf_frequency=1.0, loss=1.2)
     with pytest.raises(InvalidParameterError):
         LinkSpec(rf_frequency=1.0, link_phase=math.inf)
+
+
+# Inputs that are not Python or numpy reals, and a real no float holds
+NOT_REAL = ["a", "0.3", None, True, False, np.bool_(True), 1j, [0.1], np.array([0.1, 0.2]),
+            pytest.param(10**400, id="10**400")]
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+@pytest.mark.parametrize("field", ["rf_frequency", "link_phase", "loss"])
+def test_non_real_span_field_rejected(field, value):
+    fields = {"rf_frequency": 1.0, "link_phase": 0.0, "loss": 1.0, field: value}
+    with pytest.raises(InvalidParameterError, match=field):
+        LinkSpec(**fields)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(rf_frequency=math.nan), "rf_frequency must be positive and finite"),
+        (dict(rf_frequency=-math.inf), "rf_frequency must be positive and finite"),
+        (dict(loss=math.nan), "loss must be in (0, 1], got nan"),
+        (dict(loss=math.inf), "loss must be in (0, 1], got inf"),
+        (dict(link_phase=-math.inf), "link_phase must be finite"),
+    ],
+)
+def test_non_finite_span_messages_unchanged(fields, message):
+    # the CLI prints these for a config's non-finite [link] values
+    with pytest.raises(InvalidParameterError) as info:
+        LinkSpec(**{"rf_frequency": 1.0, **fields})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+def test_span_reals_stored_as_floats(value):
+    span = LinkSpec(value, value, value)
+    assert (span.rf_frequency, span.link_phase, span.loss) == (1.0, 1.0, 1.0)
+    assert all(type(x) is float for x in (span.rf_frequency, span.link_phase, span.loss))
 
 
 class ThreeBandField(NamedTuple):

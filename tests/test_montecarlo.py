@@ -196,6 +196,43 @@ def test_unsamplable_config_rejected(bad):
         bb84_config(**bad)
 
 
+# Inputs that are not Python or numpy reals, and a real no float holds
+NOT_REAL = ["a", "0.1", None, True, False, np.bool_(True), 1j, [0.1], np.array([0.1, 0.2]),
+            pytest.param(10**400, id="10**400")]
+
+
+@pytest.mark.parametrize("value", NOT_REAL)
+@pytest.mark.parametrize("field", ["mu", "eta", "p_dark"])
+def test_non_real_rate_rejected(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        bb84_config(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(mu=math.nan), "mu must be finite and >= 0, got nan"),
+        (dict(mu=math.inf), "mu must be finite and >= 0, got inf"),
+        (dict(eta=math.nan), "eta must lie in [0, 1]"),
+        (dict(eta=-math.inf), "eta must lie in [0, 1]"),
+        (dict(p_dark=math.nan), "p_dark must lie in [0, 1)"),
+        (dict(p_dark=math.inf), "p_dark must lie in [0, 1)"),
+    ],
+)
+def test_non_finite_rate_messages_unchanged(fields, message):
+    # the CLI prints these for a config's non-finite [montecarlo] values
+    with pytest.raises(InvalidParameterError) as info:
+        bb84_config(**fields)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+def test_rate_reals_stored_as_floats(value):
+    cfg = bb84_config(mu=value, eta=value, p_dark=value - 1)
+    assert (cfg.mu, cfg.eta, cfg.p_dark) == (1.0, 1.0, 0.0)
+    assert all(type(x) is float for x in (cfg.mu, cfg.eta, cfg.p_dark))
+
+
 @pytest.mark.parametrize("phase_error", [math.nan, math.inf, -math.inf])
 def test_non_finite_phase_error_rejected(phase_error):
     cfg = bb84_config()

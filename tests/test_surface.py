@@ -1,12 +1,16 @@
 """The package's public surface and the names the benchmark harness calls."""
 
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
+import json
 
 import pytest
 
 import fcqkd
+from fcqkd import cli
 
 PUBLIC_NAMES = {
     "B92", "BB84", "ConfigError", "DegenerateConfigurationError", "FcqkdError",
@@ -81,3 +85,23 @@ def test_bench_keyword_fields():
     span = LinkSpec(rf_frequency=1.0, link_phase=0.3, loss=0.5)
     moved = dataclasses.replace(span, link_phase=0.9)
     assert (moved.rf_frequency, moved.link_phase, moved.loss) == (1.0, 0.9, 0.5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table2"], ["verify"], ["sweep"], ["sweep", "--format", "json"], ["spectrum"],
+     ["spectrum", "--format", "json"], ["qkd"]],
+    ids=" ".join,
+)
+def test_output_lands_in_a_redirected_stdout(capsys, argv):
+    # bench/ captures the CLI's output this way; a writer that bound sys.stdout
+    # at import, or as a default argument, would write past the redirect
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    text = out.getvalue()
+    if argv[0] in ("sweep", "spectrum") and "json" not in argv:
+        assert text.count("\n") > 1 and text.endswith("\n")
+    else:
+        json.loads(text)
