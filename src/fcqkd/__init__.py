@@ -9,6 +9,7 @@ Carlo key-exchange sessions.
 
 __version__ = "0.1.0"
 
+from .config import SessionConfig
 from .errors import (
     ConfigError,
     DegenerateConfigurationError,
@@ -18,8 +19,7 @@ from .errors import (
     PhaseUndefinedError,
     TruncationError,
 )
-from .harmonics import exact_tandem_spectrum, small_signal_error
-from .link import LinkSpec, interference_coeffs, sideband_powers, sideband_powers_direct
+from .link import B92, BB84, LinkSpec, interference_coeffs, sideband_powers, sideband_powers_direct
 from .modulator import (
     ModulatorKind,
     ModulatorSpec,
@@ -27,8 +27,31 @@ from .modulator import (
     index_from_voltage,
     make_modulator,
 )
-from .montecarlo import SessionConfig, expected_counts, qber_vs_offset, run_session
-from .protocols import B92, BB84, classify_pair
+
+# Public names from the layers that compute with arrays, read from their
+# module on each access (PEP 562), so that ``import fcqkd`` loads no numpy.
+_LAZY = {
+    "exact_tandem_spectrum": "harmonics",
+    "small_signal_error": "harmonics",
+    "classify_pair": "protocols",
+    "expected_counts": "montecarlo",
+    "qber_vs_offset": "montecarlo",
+    "run_session": "montecarlo",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        # also how ``from fcqkd import harmonics`` falls back to the submodule
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__():
+    return [*globals(), *_LAZY]
+
 
 __all__ = [
     "B92",

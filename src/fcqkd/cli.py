@@ -13,8 +13,14 @@ Every command computes its whole result before it writes: a sweep holds
 its rows in memory, never its text.  The result is then encoded straight
 into stdout or the ``--out`` file, and both get the same bytes.
 
+``sweep`` and config parsing use no array, so they load no numpy: the
+other commands import the layer they compute with (``harmonics``,
+``protocols``, ``verification`` or ``montecarlo``) when they run.
+
 Exit codes: 0 success, 1 validation failure (a ``table2`` mismatch or a
 ``verify`` bound exceeded), 2 any package error (:class:`FcqkdError`).
+The ``fcqkd`` program exits 141 (128 + SIGPIPE), with no traceback, when
+the reader of its stdout goes away before the output is written.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -34,17 +41,8 @@ from .errors import (
     FcqkdError,
     InvalidParameterError,
 )
-from .harmonics import exact_tandem_spectrum
 from .link import _direct_powers, _fringe, _fringe_powers
 from .modulator import _COUPLING, ModulatorSpec
-from .montecarlo import run_session
-from .protocols import (
-    ROW_ORDER,
-    ClassificationRow,
-    classify_pair,
-    compare_row_with_reference,
-)
-from .verification import survey_all
 
 SCHEMA_VERSION = "1"
 
@@ -151,6 +149,8 @@ def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
 def cmd_spectrum(
     cfg: RunConfig, delta_phi: float, order: int | None, fmt: str, out_path: str | None
 ) -> int:
+    from .harmonics import exact_tandem_spectrum
+
     if not math.isfinite(delta_phi):
         raise InvalidParameterError(f"--delta-phi must be finite, got {delta_phi!r}")
     _, offset = _fringe_offset(cfg)
@@ -173,7 +173,8 @@ def cmd_spectrum(
     return EXIT_OK
 
 
-def _row_json(row: ClassificationRow) -> dict:
+def _row_json(row) -> dict:
+    """One :class:`~fcqkd.protocols.ClassificationRow` as JSON."""
     return {
         "alice": row.alice_kind.value,
         "bob": row.bob_kind.value,
@@ -194,6 +195,8 @@ def table_grid() -> list[float]:
 
 
 def cmd_table2(out_path: str | None) -> int:
+    from .protocols import ROW_ORDER, classify_pair, compare_row_with_reference
+
     grid = table_grid()
     rows = []
     failures: list[str] = []
@@ -219,6 +222,8 @@ def cmd_table2(out_path: str | None) -> int:
 
 
 def cmd_verify(max_m: float, out_path: str | None) -> int:
+    from .verification import survey_all
+
     reports = survey_all(max_m)
     passed = all(r.within_bound for r in reports)
     pairs = [
@@ -247,6 +252,8 @@ def cmd_verify(max_m: float, out_path: str | None) -> int:
 
 
 def cmd_qkd(cfg: RunConfig, seed: int | None, out_path: str | None) -> int:
+    from .montecarlo import run_session
+
     if cfg.montecarlo is None:
         raise ConfigError("qkd needs a [montecarlo] section in the config")
     session = cfg.montecarlo
@@ -344,4 +351,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at exit cannot fail again, and exit as a process killed by
+        # SIGPIPE would: 1 and 2 already mean a failed check and a bad input.
+        # https://docs.python.org/3/library/signal.html#note-on-sigpipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

@@ -4,8 +4,12 @@ Sections and keys are fixed; anything unknown is rejected.  Each modulator
 takes its drive as exactly one of ``v_rf_volts`` (converted through the
 half-wave voltage) or a direct index ``m``, and its bias as exactly one of
 ``v_dc_volts`` or a direct ``psi``.  A ``[montecarlo]`` section becomes a
-:class:`~fcqkd.montecarlo.SessionConfig` over the parsed modulators and
-link, so its values are checked at parse time whatever the command.
+:class:`SessionConfig` over the parsed modulators and link, so its values
+are checked at parse time whatever the command.
+
+:class:`SessionConfig` is defined here, not in :mod:`fcqkd.montecarlo`
+(which re-exports it), so that parsing and checking a configuration
+imports no numpy: only the layers that compute with arrays load it.
 """
 
 from __future__ import annotations
@@ -14,16 +18,17 @@ import configparser
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
-from .link import LinkSpec
+from .errors import ConfigError, InvalidParameterError
+from .link import B92, BB84, LinkSpec
 from .modulator import (
     ModulatorKind,
     ModulatorSpec,
+    _is_integer,
+    _require_real,
     bias_phase_from_voltage,
     index_from_voltage,
     make_modulator,
 )
-from .montecarlo import SessionConfig
 
 _SECTION_KEYS = {
     "alice": {"kind", "v_pi_volts", "v_rf_volts", "m", "v_dc_volts", "psi", "phi"},
@@ -74,6 +79,50 @@ p_dark = 0.0
 n_pulses = 100000
 seed = 7
 """
+
+
+# Largest session numpy's multinomial draw can count (int64).
+MAX_PULSES = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """One key-exchange session of :func:`fcqkd.montecarlo.run_session`."""
+
+    protocol: str
+    alice: ModulatorSpec
+    bob: ModulatorSpec
+    link: LinkSpec
+    mu: float
+    eta: float = 1.0
+    p_dark: float = 0.0
+    n_pulses: int = 100_000
+    seed: int = 0
+
+    def __post_init__(self):
+        # the type first: a membership test on an array compares elementwise
+        if not isinstance(self.protocol, str) or self.protocol not in (B92, BB84):
+            raise InvalidParameterError(f"unknown protocol {self.protocol!r}")
+        if not isinstance(self.alice, ModulatorSpec):
+            raise InvalidParameterError(f"alice must be a ModulatorSpec, got {self.alice!r}")
+        if not isinstance(self.bob, ModulatorSpec):
+            raise InvalidParameterError(f"bob must be a ModulatorSpec, got {self.bob!r}")
+        if not isinstance(self.link, LinkSpec):
+            raise InvalidParameterError(f"link must be a LinkSpec, got {self.link!r}")
+        for name in ("mu", "eta", "p_dark"):
+            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise InvalidParameterError(f"mu must be finite and >= 0, got {self.mu}")
+        if not (0.0 <= self.eta <= 1.0):
+            raise InvalidParameterError("eta must lie in [0, 1]")
+        if not (0.0 <= self.p_dark < 1.0):
+            raise InvalidParameterError("p_dark must lie in [0, 1)")
+        if not _is_integer(self.n_pulses) or not 0 < self.n_pulses <= MAX_PULSES:
+            raise InvalidParameterError(
+                f"n_pulses must be an integer in [1, {MAX_PULSES}], got {self.n_pulses}"
+            )
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -200,9 +249,9 @@ def parse_config(text: str) -> RunConfig:
     if "montecarlo" in parser:
         mc = parser["montecarlo"]
         protocol = mc.get("protocol", "").strip().upper()
-        if protocol not in ("B92", "BB84"):
+        if protocol not in (B92, BB84):
             raise ConfigError(
-                f"[montecarlo] protocol = {mc.get('protocol')!r}: expected B92 or BB84"
+                f"[montecarlo] protocol = {mc.get('protocol')!r}: expected {B92} or {BB84}"
             )
         montecarlo = SessionConfig(
             protocol=protocol,

@@ -82,7 +82,8 @@ def _checked_order(order: int | None, m_max: float) -> int:
     explicit order must be an integer (Python or numpy, not ``bool``).
     """
     if order is None:
-        order = math.ceil(3.0 * m_max) + 8
+        needed = 3.0 * m_max  # inf past about 6e307, which has no ceiling
+        order = math.ceil(needed) + 8 if math.isfinite(needed) else needed
         if order > MAX_ORDER:
             raise InvalidParameterError(
                 f"drive index {m_max} needs order {order}, above the supported maximum {MAX_ORDER}"

@@ -26,6 +26,10 @@ from .errors import (
 )
 from .modulator import _COUPLING, ModulatorSpec, _require_real, carrier_amplitude, sideband_factor
 
+# The two key-distribution protocols the fringe law can carry.
+B92 = "B92"
+BB84 = "BB84"
+
 
 @dataclass(frozen=True)
 class LinkSpec:

@@ -23,10 +23,9 @@ are normalized to a unit input field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import InvalidParameterError
 
@@ -60,15 +59,20 @@ def _coupling(kind: ModulatorKind) -> tuple[float, float, float]:
     return _COUPLING[kind]
 
 
-# Concrete types, not the numbers.Real ABC: its isinstance check is slower,
-# and a survey builds about 90 specs.
-_REAL_TYPES = (int, float, np.integer, np.floating)
-
-
 def _require_real(name: str, value) -> float:
-    """``value`` as a float; a Python or numpy real (not a ``bool``) that a float holds."""
-    if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
-        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    """``value`` as a float; a Python or numpy real (not a ``bool``) that a float holds.
+
+    Concrete types, not the numbers.Real ABC: its isinstance check is slower,
+    and a survey builds about 90 specs; a float, the usual case, is let through
+    first.  numpy is looked up, not imported: if it was never imported, no
+    numpy scalar can exist.
+    """
+    if type(value) is not float and (
+        not isinstance(value, (int, float)) or isinstance(value, bool)
+    ):
+        np = sys.modules.get("numpy")
+        if np is None or not isinstance(value, (np.integer, np.floating)):
+            raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an int beyond the float range
@@ -85,7 +89,10 @@ def _require_finite(name: str, value) -> float:
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a ``bool`` is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if isinstance(value, int):
+        return not isinstance(value, bool)
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.integer)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,11 @@ tallied as a flat list of Python floats: one ``np.exp`` call gives every
 counter's no-click probability, and each statistic is a sum over a fixed
 tuple of cell indices derived once from the decoding and sifting rules.
 The same tally serves drawn counts and expected counts.
+
+A session is described by :class:`~fcqkd.config.SessionConfig`, which
+``config`` defines and checks without numpy and this module re-exports
+with ``MAX_PULSES``.  numpy is imported here, at the top, so that no
+session pays for an import on its call path.
 """
 
 from __future__ import annotations
@@ -50,13 +55,10 @@ from operator import itemgetter
 
 import numpy as np
 
+from .config import MAX_PULSES, SessionConfig
 from .errors import InfeasibleProtocolError, InvalidParameterError
-from .link import LinkSpec, _fringe, _fringe_powers
-from .modulator import ModulatorSpec, _is_integer, _require_real
-from .protocols import B92, BB84, CANONICAL_PHASES, check_protocol
-
-# Largest session numpy's multinomial draw can count (int64).
-MAX_PULSES = 2**63 - 1
+from .link import B92, BB84, _fringe, _fringe_powers
+from .protocols import CANONICAL_PHASES, check_protocol
 
 # Indices into CANONICAL_PHASES.  BB84: Alice's row k encodes basis k % 2
 # and bit k // 2, Bob's column is his basis.  B92: Alice's row is her bit,
@@ -65,37 +67,6 @@ _ALPHABETS = {BB84: ((0, 1, 2, 3), (0, 1)), B92: ((0, 1), (2, 3))}
 
 # Click outcomes of one pulse, the last index of a cell; 0 is no click.
 _UPPER, _LOWER, _BOTH = 1, 2, 3
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    protocol: str
-    alice: ModulatorSpec
-    bob: ModulatorSpec
-    link: LinkSpec
-    mu: float
-    eta: float = 1.0
-    p_dark: float = 0.0
-    n_pulses: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.protocol not in (B92, BB84):
-            raise InvalidParameterError(f"unknown protocol {self.protocol!r}")
-        for name in ("mu", "eta", "p_dark"):
-            object.__setattr__(self, name, _require_real(name, getattr(self, name)))
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise InvalidParameterError(f"mu must be finite and >= 0, got {self.mu}")
-        if not (0.0 <= self.eta <= 1.0):
-            raise InvalidParameterError("eta must lie in [0, 1]")
-        if not (0.0 <= self.p_dark < 1.0):
-            raise InvalidParameterError("p_dark must lie in [0, 1)")
-        if not _is_integer(self.n_pulses) or not 0 < self.n_pulses <= MAX_PULSES:
-            raise InvalidParameterError(
-                f"n_pulses must be an integer in [1, {MAX_PULSES}], got {self.n_pulses}"
-            )
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise InvalidParameterError(f"seed must be an integer >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, PhaseUndefinedError
-from .link import _coefficients, phase_offset
+from .link import B92, BB84, _coefficients, phase_offset
 from .modulator import ModulatorKind, ModulatorSpec, _coupling, _require_finite
-
-B92 = "B92"
-BB84 = "BB84"
 
 THETA_TOL = 1e-9
 

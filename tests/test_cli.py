@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -19,6 +22,8 @@ from fcqkd import (
     cli,
     config,
     link,
+    montecarlo,
+    verification,
 )
 from fcqkd.cli import main
 from fcqkd.config import MAX_SWEEP_STEPS, ConfigError, default_config, parse_config
@@ -300,7 +305,7 @@ class TestSpectrumCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) - 1 == 2 * 14 + 1  # default order ceil(3 * 2.0) + 8
 
-    @pytest.mark.parametrize("m, needed", [("55.0", 173), ("1e6", 3000008)])
+    @pytest.mark.parametrize("m, needed", [("55.0", 173), ("1e6", 3000008), ("1e308", "inf")])
     def test_drive_beyond_highest_order_names_the_drive(self, tmp_path, capsys, m, needed):
         path = write_config(
             tmp_path,
@@ -619,11 +624,29 @@ class TestErrorExit:
         def failing(*args):
             raise error("no result")
 
-        monkeypatch.setattr(cli, stage, failing)
+        # cli imports each stage from its layer when the command runs
+        layer = {"survey_all": verification, "run_session": montecarlo}[stage]
+        monkeypatch.setattr(layer, stage, failing)
         assert main([command]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no result\n"
+
+
+def test_closed_pipe_ends_without_a_traceback(tmp_path):
+    # 5000 rows outgrow the pipe's buffer, so the writer must meet the closed end
+    path = tmp_path / "long.ini"
+    path.write_text(config.DEFAULT_CONFIG.replace("steps = 64", "steps = 5000"))
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fcqkd", "sweep", "--config", str(path)],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        assert proc.stdout.read(10) == b"delta_phi_"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+    assert (tmp_path / "stderr").read_bytes() == b""
 
 
 # --- fuzzing: INI text from the known sections and keys, with odd values ----

@@ -209,6 +209,19 @@ def test_non_real_rate_rejected(field, value):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("alice", None), ("bob", None), ("link", None),
+     ("alice", LinkSpec(rf_frequency=1.0)), ("link", make_modulator(UM, 0.1)),
+     ("protocol", np.array([B92, B92]))],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_untyped_object_field_rejected(field, value):
+    # a membership test on an array would raise numpy's own ValueError
+    with pytest.raises(InvalidParameterError, match=field):
+        bb84_config(**{field: value})
+
+
+@pytest.mark.parametrize(
     "fields, message",
     [
         (dict(mu=math.nan), "mu must be finite and >= 0, got nan"),

@@ -6,11 +6,14 @@ import importlib
 import inspect
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import fcqkd
-from fcqkd import cli
+from fcqkd import cli, config
 
 PUBLIC_NAMES = {
     "B92", "BB84", "ConfigError", "DegenerateConfigurationError", "FcqkdError",
@@ -41,6 +44,7 @@ BENCH_CONTRACT = {
 def test_all_lists_exactly_the_public_names():
     assert len(fcqkd.__all__) == len(set(fcqkd.__all__)) == 25
     assert set(fcqkd.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(fcqkd))
     for name in fcqkd.__all__:
         assert hasattr(fcqkd, name)
 
@@ -105,3 +109,108 @@ def test_output_lands_in_a_redirected_stdout(capsys, argv):
         assert text.count("\n") > 1 and text.endswith("\n")
     else:
         json.loads(text)
+
+
+# --- the import contract: only the layers that compute with arrays load numpy
+
+SRC = pathlib.Path(fcqkd.__file__).resolve().parents[1]
+BENCH = SRC.parent / "bench"
+
+
+def run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package from source."""
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{code}"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_import_and_config_parsing_load_no_numpy(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(config.DEFAULT_CONFIG)
+    run_fresh(
+        "import fcqkd, fcqkd.cli\n"
+        "from fcqkd.config import load_config\n"
+        "assert load_config(sys.argv[1]).montecarlo is not None\n"
+        "assert 'numpy' not in sys.modules",
+        str(path),
+    )
+
+
+def test_sweep_loads_no_numpy():
+    proc = run_fresh(
+        "from fcqkd import cli\n"
+        "assert cli.main(['sweep']) == 0\n"
+        "assert 'numpy' not in sys.modules"
+    )
+    assert proc.stdout.startswith("delta_phi_rad,")
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import fcqkd, fcqkd.protocols\n"
+        "assert fcqkd.classify_pair is fcqkd.protocols.classify_pair",
+        "import fcqkd, fcqkd.montecarlo\n"
+        "assert fcqkd.run_session is fcqkd.montecarlo.run_session",
+        "from fcqkd import *\n"
+        "import fcqkd\n"
+        "assert all(name in globals() for name in fcqkd.__all__)",
+        "from fcqkd import harmonics\n"
+        "assert harmonics.__name__ == 'fcqkd.harmonics'",
+        "import fcqkd\n"
+        "try:\n"
+        "    fcqkd.not_a_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('fcqkd.not_a_name resolved')",
+    ],
+    ids=["classify_pair", "run_session", "star", "submodule", "unknown name"],
+)
+def test_lazy_names_resolve(code):
+    run_fresh(code)
+
+
+def test_numpy_reals_accepted_when_numpy_comes_later():
+    # modulator looks numpy up at call time, so numpy imported after the
+    # package still has its scalars recognised, and its bool still refused
+    run_fresh(
+        "import fcqkd\n"
+        "import numpy as np\n"
+        "from fcqkd import B92, InvalidParameterError, LinkSpec, SessionConfig\n"
+        "from fcqkd import ModulatorKind, ModulatorSpec\n"
+        "spec = ModulatorSpec(ModulatorKind.UM, np.float64(0.1), np.int64(0))\n"
+        "assert (spec.m, spec.psi) == (0.1, 0.0)\n"
+        "def session(n):\n"
+        "    return SessionConfig(B92, spec, spec, LinkSpec(rf_frequency=1.0), 0.1, n_pulses=n)\n"
+        "assert session(np.int64(10)).n_pulses == 10\n"
+        "for bad in (np.bool_(True), True):\n"
+        "    for build in (lambda: ModulatorSpec(ModulatorKind.UM, bad), lambda: session(bad)):\n"
+        "        try:\n"
+        "            build()\n"
+        "        except InvalidParameterError:\n"
+        "            continue\n"
+        "        raise SystemExit(f'accepted {bad!r}')"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, name", [(["verify"], "verification.survey_all"), (["qkd"], "montecarlo.run_session")]
+)
+def test_tracer_counts_the_lazily_imported_layers(monkeypatch, argv, name):
+    # bench/run.py traces through bench/tracing.py, which wraps module
+    # attributes; cli's function-local imports must read the wrappers
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert tracer.run(lambda: cli.main(argv)) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls[name] == 1
+    assert tracer.calls["cli.main"] == 1
