@@ -18,15 +18,18 @@ exp(j*m*cos x) = sum_k j^k J_k(m) exp(j*k*x) is the identity it sums).
 The kind's row of the coupling table fixes eps1, eps2 and arm 2's drive,
 m2 = 0 or m2 = m1 = m, so a modulator's field takes one exp: with
 E = exp(j*m*cos(theta + phi)), arm 2's factor is 1 or conj(E).
-Fields are sampled as rows on one phase grid per transform size, built
-once, cached read-only and shared by every call; one FFT call transforms
-every row at once.  A small-signal error point stacks Alice's field, Bob's
-field and the tandem product, and reads the exact interference weights
-(J_0 and J_1 of each modulator) and the tandem's first harmonics from that
-transform; the validity survey stacks all the points of one pairing into
-one such transform (a batch per pairing, not per survey, keeps its arrays
-small).  The truncation rule applies to each row: the power outside
-|k| <= order must stay below 1e-12 of the row's total.
+Fields are sampled on one phase grid per transform size, built once,
+cached read-only and shared by every call.  The tandem spectrum is one
+FFT of the sampled product.  A small-signal error point needs only
+harmonics 0 and +/-1, and reads them from Bessel rows instead: harmonic k
+of c1*E + c2*conj(E) is (c1 + (-1)^k c2) j^k J_k(m) e^{jk phi}, and one
+FFT of exp(j*m*cos(theta)) per distinct drive index gives the row
+j^k J_k(m).  c1 +/- c2 is formed before it meets the row, so a bias just
+off a sideband null keeps the digits that an FFT of the summed field
+rounds away at the carrier's scale.  The exact interference weights are
+harmonics 0 and 1 of each side (J_0 and J_1 in place of 1 and m/2), and
+the tandem's +/-1 lines are sum_n A_n B_{+/-1-n}.  The validity survey
+batches the points of one pairing, whose sides share one drive index.
 
 The same sideband conventions as the first-order model apply, so the
 k = +/-1 lines converge to the small-signal band amplitudes as the drive
@@ -121,8 +124,7 @@ def _field(theta: np.ndarray, phase, m, c1, c2, mirrored: bool) -> np.ndarray:
 
     E = exp(j*m*cos(theta + phase)) is arm 1's phase factor.  Arm 2 is
     driven with m2 = share*m and the coupling table's share is 0 or 1, so
-    its factor is 1 or conj(E) and one exp serves both arms.  The
-    parameters are numbers, or (P, 1) columns that give P rows.
+    its factor is 1 or conj(E) and one exp serves both arms.
     """
     drive = theta + phase
     field = np.exp((1j * m) * np.cos(drive, out=drive))
@@ -158,32 +160,6 @@ def _phases(order: int) -> np.ndarray:
     return grid
 
 
-def _spectrum(rows: np.ndarray, order: int) -> np.ndarray:
-    """Fourier coefficients of fields sampled on ``_phases(order)``, along the last axis.
-
-    The transform overwrites ``rows``.  The fields carry its 1/n already (n is a power of two, so
-    folding it into a field's coefficient is exact).  Harmonic k of a row
-    sits at index k mod n.  In every row the power in the bins outside
-    |k| <= order must stay below 1e-12 of the row's total, or the order is
-    too low for the drive.
-    """
-    n = rows.shape[-1]
-    coeffs = np.fft.fft(rows, out=rows)
-    flat = coeffs.reshape(-1, n)
-    totals = np.vecdot(flat, flat).real.tolist()
-    tails = flat[:, order + 1 : n - order]
-    tails = np.vecdot(tails, tails).real.tolist()
-    worst = max(
-        (tail / total for tail, total in zip(tails, totals) if tail > _TAIL_ENERGY_RTOL * total),
-        default=0.0,
-    )
-    if worst:
-        raise TruncationError(
-            f"truncated tail holds {worst:.3e} of the power; raise the order"
-        )
-    return coeffs
-
-
 def exact_tandem_spectrum(
     alice: ModulatorSpec,
     bob: ModulatorSpec,
@@ -193,47 +169,62 @@ def exact_tandem_spectrum(
     """Exact output spectrum of the full Alice-link-Bob cascade.
 
     The tandem field is Alice's field, delayed by the span and scaled by
-    sqrt(loss), times Bob's.
+    sqrt(loss), times Bob's.  The power in the bins outside |k| <= order
+    must stay below 1e-12 of the total, or the order is too low for the
+    drives.
     """
     order = _checked_order(order, max(alice.m, bob.m))
     theta = _phases(order)
+    # the field carries the transform's 1/n; n is a power of two, so that is exact
     scale = math.sqrt(link.loss) / theta.size
     tandem = _field(theta, *_field_params(alice, link.link_phase, scale))
     tandem *= _field(theta, *_field_params(bob, 0.0, 1.0))
-    coeffs = _spectrum(tandem, order)
+    coeffs = np.fft.fft(tandem, out=tandem)  # harmonic k at index k mod n
+    tail = coeffs[order + 1 : theta.size - order]
+    tail_power, total = np.vdot(tail, tail).real, np.vdot(coeffs, coeffs).real
+    if tail_power > _TAIL_ENERGY_RTOL * total:
+        raise TruncationError(
+            f"truncated tail holds {tail_power / total:.3e} of the power; raise the order"
+        )
     return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
 
 
-def _weights(
-    alice: ModulatorSpec, bob: ModulatorSpec, alice_row: np.ndarray, bob_row: np.ndarray
-) -> tuple[complex, complex]:
-    """Exact interference weights from each modulator's own transform row.
+def _harmonics(mods: list[ModulatorSpec], phases: list[float], order: int) -> np.ndarray:
+    """Harmonics -order..order of each modulator's field at its drive phase, one row each.
 
-    A row's harmonic 0 is the carrier with J_0(m) in place of 1, and its
-    harmonic 1 without the RF phase exp(j*phi) is the sideband factor with
-    J_1(m) in place of m/2.
+    Harmonic k is (c1 + (-1)^k c2) j^k J_k(m) e^{jk phi}, or, with arm 2
+    undriven, c1 j^k J_k(m) e^{jk phi} plus c2 at k = 0; modulators at one
+    drive index share its Bessel row.  At the lowest order
+    ``_checked_order`` accepts, a row keeps at most 5.5e-17 of its power
+    outside |k| <= order (at m = 1, order 8), so the rows need no tail
+    rule.  ``phases`` are wrapped to a few pi.
     """
-    a_sideband = complex(alice_row[1]) * cmath.exp(-1j * alice.phi)
-    b_sideband = complex(bob_row[1]) * cmath.exp(-1j * bob.phi)
-    return complex(bob_row[0]) * a_sideband, complex(alice_row[0]) * b_sideband
-
-
-def _columns(params: list[tuple[float, float, complex, complex, bool]]) -> tuple:
-    """``_field_params`` tuples as (P, 1) columns of (phase, m, c1, c2) and one arm-2 flag."""
-    columns = np.array([p[:4] for p in params], dtype=complex)
-    mirrored = any(p[4] for p in params)
-    return columns[:, :1].real, columns[:, 1:2].real, columns[:, 2:3], columns[:, 3:], mirrored
+    index = {m: i for i, m in enumerate(dict.fromkeys(mod.m for mod in mods))}
+    k = np.arange(-order, order + 1)
+    samples = np.exp(np.multiply.outer(1j * np.array(list(index)), np.cos(_phases(order))))
+    rows = np.fft.fft(samples, norm="forward")[:, k]
+    fields = rows[[index[mod.m] for mod in mods]] * np.exp(1j * np.multiply.outer(phases, k))
+    coeffs = []
+    for mod in mods:
+        _, _, c1, c2, mirrored = _field_params(mod, 0.0, 1.0)
+        coeffs.append((c1 + c2, c1 - c2, 0j) if mirrored else (c1, c1, c2))
+    coeffs = np.array(coeffs)
+    fields[:, order % 2 :: 2] *= coeffs[:, :1]  # even k
+    fields[:, 1 - order % 2 :: 2] *= coeffs[:, 1:2]  # odd k
+    fields[:, order] += coeffs[:, 2]
+    return fields
 
 
 def _error_points(
     points: list[tuple[ModulatorSpec, ModulatorSpec, LinkSpec]], order: int | None = None
 ) -> list[tuple[float, float]]:
-    """:func:`small_signal_error` of each (alice, bob, link) point, from one transform.
+    """:func:`small_signal_error` of each (alice, bob, link) point, from one Bessel row per drive.
 
-    The points share one pairing, so each side's arm 2 follows arm 1 at
-    every point or at none.  The 3P rows are Alice's undelayed fields,
-    the tandem fields and Bob's fields, and the order is the one the
-    largest drive needs.
+    The order is the one the largest drive needs.  The span delays Alice's
+    drive phase; its loss scales the tandem lines and the norm alike, so it
+    cancels.  The weights' magnitudes are |Bob's harmonic 0| * |Alice's
+    harmonic 1| and the reverse, and the tandem's +/-1 lines are
+    sum_n A_n B_{+/-1-n}.
     """
     p_small = []
     for alice, bob, link in points:
@@ -242,32 +233,28 @@ def _error_points(
         except DegenerateConfigurationError as exc:
             raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
     order = _checked_order(order, max(max(alice.m, bob.m) for alice, bob, _ in points))
-    theta = _phases(order)
-    inv_n = 1.0 / theta.size
-    undelayed = [_field_params(alice, 0.0, inv_n) for alice, _, _ in points]
-    delayed = [
-        _field_params(alice, link.link_phase, math.sqrt(link.loss)) for alice, _, link in points
-    ]
-    bobs = [_field_params(bob, 0.0, inv_n) for _, bob, _ in points]
-    bob_fields = _field(theta, *_columns(bobs))
-    tandems = _field(theta, *_columns(delayed))
-    tandems *= bob_fields
-    rows = np.array((_field(theta, *_columns(undelayed)), tandems, bob_fields))
-    alice_rows, tandem_rows, bob_rows = _spectrum(rows, order).reshape(3, len(points), -1)
+    mods = [alice for alice, _, _ in points] + [bob for _, bob, _ in points]
+    # each phase wrapped on its own, so that no finite one overflows k*phi
+    phases = [
+        math.remainder(alice.phi, math.tau) - math.remainder(link.link_phase, math.tau)
+        for alice, _, link in points
+    ] + [math.remainder(bob.phi, math.tau) for _, bob, _ in points]
+    fields = _harmonics(mods, phases, order)
+    a, b = fields[: len(points)], fields[len(points) :]
+    uppers = (a[:, 1:] * b[:, :0:-1]).sum(1).tolist()
+    lowers = (a[:, :-1] * b[:, -2::-1]).sum(1).tolist()
+    sides = abs(fields[:, order : order + 2]).tolist()  # |harmonic 0|, |harmonic 1|
     errors = []
-    for (alice, bob, link), alice_row, tandem, bob_row, small in zip(
-        points, alice_rows, tandem_rows, bob_rows, p_small
+    for upper, lower, (a0, a1), (b0, b1), small in zip(
+        uppers, lowers, sides, sides[len(points) :], p_small
     ):
-        e_a, e_b = _weights(alice, bob, alice_row, bob_row)
-        exact_norm = 2.0 * (abs(e_a) ** 2 + abs(e_b) ** 2) * link.loss
-        p_exact = (
-            abs(complex(tandem[1])) ** 2 / exact_norm,
-            abs(complex(tandem[-1])) ** 2 / exact_norm,
+        norm = 2.0 * ((b0 * a1) ** 2 + (a0 * b1) ** 2)  # twice the squared weights
+        p_exact = (abs(upper) ** 2 / norm, abs(lower) ** 2 / norm)
+        errors.append(
+            tuple(
+                abs(pe - ps) / pe if pe > 1e-9 else abs(pe - ps) for pe, ps in zip(p_exact, small)
+            )
         )
-        upper, lower = (
-            abs(pe - ps) / pe if pe > 1e-9 else abs(pe - ps) for pe, ps in zip(p_exact, small)
-        )
-        errors.append((upper, lower))
     return errors
 
 

@@ -105,10 +105,15 @@ def interference_coeffs(
 
 
 def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
-    """Fringe contrast 2|a||b| / (|a|^2 + |b|^2), clipped to [0, 1].
+    """Fringe contrast 2|a||b| / (|a|^2 + |b|^2), in [0, 1].
 
     Evaluated as 2r / (1 + r^2) with r the smaller magnitude over the
-    larger, which no scale of the coefficients can overflow.
+    larger, which no scale of the coefficients can overflow.  It never
+    rounds above 1.  For r = 1 - k 2^-53 with k < 2^26, r^2 rounds to
+    exactly 1 - 2k 2^-53, so the denominator is exactly 2r.  From k = 2^28
+    on (and below r = 0.5 it is under 0.8) the exact quotient sits 4 ulps
+    under 1, past its 1.5-ulp rounding, and a scan of every k in between
+    found none above 1.
     """
     a = abs(alice_coeff)
     b = abs(bob_coeff)
@@ -116,7 +121,7 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
     if high == 0.0:
         raise _no_sideband_light()
     r = low / high
-    return min(1.0, 2.0 * r / (1.0 + r * r))
+    return 2.0 * r / (1.0 + r * r)
 
 
 def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:

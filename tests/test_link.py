@@ -245,6 +245,17 @@ class TestInterferenceCoeffs:
         assert abs(b) == pytest.approx(0.5 * 0.1 * abs(math.cos(psi_a) * math.sin(psi_b)))
         assert phase_offset(a, b) == pytest.approx(math.pi / 2 - psi_a)
 
+    def test_zero_rule_at_1e_12_of_the_scale(self):
+        # Alice UM just off her carrier null against Bob PM at m = 0.1: Bob's
+        # coefficient is |cos psi_a| * 0.05, its threshold 1e-12 * 0.05.  Off by
+        # 3e-12 it is 3x the threshold, live, and zero under a 1e-11 rule; off
+        # by 3e-13 it is 0.3x, zero, and live under a 1e-13 rule.
+        bob = make_modulator(PM, 0.1)
+        for offset, live in ((3e-12, True), (3e-13, False)):
+            _, b, _, phase = _fringe(make_modulator(UM, 0.1, math.pi / 2 + offset), bob)
+            assert abs(b) == pytest.approx(0.05 * offset, rel=1e-3)
+            assert (phase is not None) is live
+
     def test_pm_pm_ratio_and_offset(self):
         a, b = interference_coeffs(
             make_modulator(PM, 0.16, 0.9, 0.2), make_modulator(PM, 0.08, 1.7, 2.2)
@@ -291,8 +302,19 @@ class TestVisibilityAndOffset:
         with pytest.raises(PhaseUndefinedError):
             phase_offset(0j, 1.0)
 
+    def test_visibility_never_rounds_above_one(self):
+        # r = 1 - k 2^-53: exactly 1 up to k = 2^26, a dense run past it, and
+        # log-spaced k to 2^40, where the quotient is far under 1
+        ks = [*range(1 << 16), *range((1 << 26) - (1 << 15), (1 << 26) + (1 << 16))]
+        ks += [int(2.0**e) for e in np.arange(16.0, 40.0, 1 / 256)]
+        for k in ks:
+            assert visibility(1.0, 1.0 - k * 2.0**-53) <= 1.0
+        assert visibility(1.0, 1.0 - (1 << 25) * 2.0**-53) == 1.0
+
     def test_offset_wrap(self):
         assert phase_offset(1.0, -1.0) == pytest.approx(math.pi)
+        # a raw difference of phases gives -pi here; the offset lies in (-pi, pi]
+        assert phase_offset(1, complex(-1, -0.0)) == math.pi
         assert phase_offset(cmath.exp(1j * 3.0), 1.0) == pytest.approx(-3.0)
 
     def test_table_offsets(self):
