@@ -175,7 +175,10 @@ def sideband_powers(
     _, _, vis, offset = _fringe(alice, bob)
     if offset is None:
         return 0.5, 0.5
-    return _fringe_powers(vis, offset, bob.phi - alice.phi + link.link_phase)
+    x = bob.phi - alice.phi + link.link_phase
+    if not math.isfinite(x):
+        raise InvalidParameterError(f"phi_b - phi_a + link_phase overflows: {x!r}")
+    return _fringe_powers(vis, offset, x)
 
 
 def sideband_powers_direct(

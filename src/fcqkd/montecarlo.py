@@ -35,11 +35,14 @@ draw from a numpy PCG64 generator seeded from the config: exactly the
 distribution of pulse-by-pulse sampling, in time and memory independent
 of ``n_pulses``, and bit-reproducible for a given seed.
 
-The table has only 16 (B92) or 32 (BB84) cells, so it is built and
-tallied as a flat list of Python floats: one ``np.exp`` call gives every
-counter's no-click probability, and each statistic is a sum over a fixed
-tuple of cell indices derived once from the decoding and sifting rules.
-The same tally serves drawn counts and expected counts.
+A session takes two steps: a pairing step, once per configuration, checks
+the protocol and gives the fringe visibility and offset; a draw step, once
+per seed, builds the cell table at a phase error and draws it.  The table
+has only 16 (B92) or 32 (BB84) cells, so it is built and tallied as a flat
+list of Python floats: one ``np.exp`` call gives every counter's no-click
+probability, and each statistic is a sum over a fixed tuple of cell
+indices derived once from the decoding and sifting rules.  The same tally
+serves drawn counts and expected counts.
 
 A session is described by :class:`~fcqkd.config.SessionConfig`, which
 ``config`` defines and checks without numpy and this module re-exports
@@ -50,7 +53,7 @@ session pays for an import on its call path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -58,12 +61,18 @@ import numpy as np
 from .config import MAX_PULSES, SessionConfig
 from .errors import InfeasibleProtocolError, InvalidParameterError
 from .link import B92, BB84, _fringe, _fringe_powers
+from .modulator import _require_finite
 from .protocols import CANONICAL_PHASES, check_protocol
 
 # Indices into CANONICAL_PHASES.  BB84: Alice's row k encodes basis k % 2
 # and bit k // 2, Bob's column is his basis.  B92: Alice's row is her bit,
 # Bob's column c (canonical pi or 3*pi/2) decodes a click as bit 1 - c.
 _ALPHABETS = {BB84: ((0, 1, 2, 3), (0, 1)), B92: ((0, 1), (2, 3))}
+# Each alphabet cell's (phi_a, phi_b), row-major over (Alice row, Bob column).
+_PAIRS = {
+    protocol: tuple((CANONICAL_PHASES[a], CANONICAL_PHASES[b]) for a in rows for b in columns)
+    for protocol, (rows, columns) in _ALPHABETS.items()
+}
 
 # Click outcomes of one pulse, the last index of a cell; 0 is no click.
 _UPPER, _LOWER, _BOTH = 1, 2, 3
@@ -80,55 +89,42 @@ class SessionStats:
     lower_clicks: int
 
 
-def _infeasible(cfg: SessionConfig, reason: str) -> InfeasibleProtocolError:
-    return InfeasibleProtocolError(
-        reason, f"{cfg.protocol} not supported by this pairing: {reason}"
-    )
+def _pairing(cfg: SessionConfig) -> tuple[float, float]:
+    """The pairing step: fringe (visibility, offset), or why the pairing cannot run the protocol."""
+    feasibility = check_protocol(cfg.alice, cfg.bob, cfg.protocol)
+    reason = feasibility.failure_reason
+    if feasibility.feasible:
+        _, _, vis, offset = _fringe(cfg.alice, cfg.bob)
+        if offset is not None:
+            return vis, offset
+        reason = "zero-visibility"
+    raise InfeasibleProtocolError(reason, f"{cfg.protocol} not supported by this pairing: {reason}")
 
 
-def _counter_powers(cfg: SessionConfig, phase_error: float) -> list[float]:
-    """(upper, lower) powers of every alphabet cell, flat in cell order.
+def _cell_probabilities(cfg: SessionConfig, fringe: tuple, phase_error: float) -> list[float]:
+    """Probability that one pulse lands in each (Alice, Bob, outcome) cell, summing to 1.
 
-    Row-major over (Alice row, Bob column), each cell's upper power before
-    its lower one.  Bob's compensation uses the configured link phase and
-    the pairing's intrinsic offset; ``phase_error`` shifts the physical
-    span phase without Bob's knowledge.  Raises
-    :class:`InfeasibleProtocolError` when a coefficient vanishes at the
-    configured drive indices.
+    Flat in cell order.  Bob compensates the link phase and the ``fringe``
+    offset; ``phase_error`` shifts the span phase without his knowledge.
     """
-    _, _, vis, offset = _fringe(cfg.alice, cfg.bob)
-    if offset is None:
-        raise _infeasible(cfg, "zero-visibility")
+    vis, offset = fringe
     compensation = cfg.link.link_phase + offset
     span_phase = cfg.link.link_phase + phase_error
-    alices, bobs = ([CANONICAL_PHASES[k] for k in row] for row in _ALPHABETS[cfg.protocol])
-    return [
-        power
-        for phi_a in alices
-        for phi_b in bobs
-        for power in _fringe_powers(vis, offset, phi_b - compensation - phi_a + span_phase)
-    ]
-
-
-def _cell_probabilities(cfg: SessionConfig, phase_error: float) -> list[float]:
-    """Probability that one pulse lands in each (Alice, Bob, outcome) cell.
-
-    Flat in cell order, four outcomes per alphabet cell, summing to 1;
-    raises :class:`InfeasibleProtocolError` if the pairing cannot run the
-    protocol.
-    """
-    if not math.isfinite(phase_error):
-        raise InvalidParameterError(f"phase_error must be finite, got {phase_error!r}")
-    feasibility = check_protocol(cfg.alice, cfg.bob, cfg.protocol)
-    if not feasibility.feasible:
-        raise _infeasible(cfg, feasibility.failure_reason)
-    powers = _counter_powers(cfg, phase_error)
+    # One check for every cell: the drive phases cannot carry a finite sum past overflow.
+    if not math.isfinite(span_phase - compensation):
+        raise InvalidParameterError(
+            f"link_phase + phase_error overflows: {cfg.link.link_phase!r} + {phase_error!r}"
+        )
     # One np.exp call, not math.exp: the two differ in the last ulp for some
     # arguments, and a one-ulp change in a probability can change a draw.
     # No light is no light: a power rounded below zero must not click.
     scale = -cfg.eta * cfg.mu
-    quiet = np.exp([scale * max(power, 0.0) for power in powers]).tolist()
-    keep, size = 1.0 - cfg.p_dark, len(powers) // 2
+    quiet = np.exp([
+        scale * max(power, 0.0)
+        for phi_a, phi_b in _PAIRS[cfg.protocol]
+        for power in _fringe_powers(vis, offset, phi_b - compensation - phi_a + span_phase)
+    ]).tolist()
+    keep, size = 1.0 - cfg.p_dark, len(quiet) // 2
     cells = []
     for k in range(0, len(quiet), 2):
         quiet_up, quiet_low = keep * quiet[k], keep * quiet[k + 1]
@@ -186,32 +182,30 @@ def _tally(protocol: str, cells: list) -> list:
     return [sum(get(cells)) for get in _TALLIES[protocol]]
 
 
-def expected_counts(
-    cfg: SessionConfig, phase_error: float = 0.0
-) -> tuple[float, float, float]:
+def expected_counts(cfg: SessionConfig, phase_error: float = 0.0) -> tuple[float, float, float]:
     """Expected (conclusive, sifted, errors) counts of a session."""
+    phase_error = _require_finite("phase_error", phase_error)
     n = cfg.n_pulses
     conclusive, sifted, errors, _, _ = _tally(
-        cfg.protocol, [n * p for p in _cell_probabilities(cfg, phase_error)]
+        cfg.protocol, [n * p for p in _cell_probabilities(cfg, _pairing(cfg), phase_error)]
     )
     return float(conclusive), float(sifted), float(errors)
 
 
-def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
-    """Simulate one key-exchange session; deterministic for a given seed."""
-    counts = np.random.default_rng(cfg.seed).multinomial(
-        cfg.n_pulses, _cell_probabilities(cfg, phase_error)
+def _draw(cfg: SessionConfig, fringe: tuple, phase_error: float, seed: int) -> SessionStats:
+    """The draw step: one session of ``cfg``'s pairing ``fringe`` from ``seed``."""
+    counts = np.random.default_rng(seed).multinomial(
+        cfg.n_pulses, _cell_probabilities(cfg, fringe, phase_error)
     )
     conclusive, sifted, errors, upper, lower = _tally(cfg.protocol, counts.tolist())
-    return SessionStats(
-        sent=int(cfg.n_pulses),
-        conclusive=conclusive,
-        sifted_bits=sifted,
-        errors=errors,
-        qber=errors / sifted if sifted else None,
-        upper_clicks=upper,
-        lower_clicks=lower,
-    )
+    qber = errors / sifted if sifted else None
+    return SessionStats(int(cfg.n_pulses), conclusive, sifted, errors, qber, upper, lower)
+
+
+def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
+    """Simulate one key-exchange session; deterministic for a given seed."""
+    phase_error = _require_finite("phase_error", phase_error)
+    return _draw(cfg, _pairing(cfg), phase_error, cfg.seed)
 
 
 def offset_seed(base_seed: int, index: int) -> int:
@@ -219,17 +213,21 @@ def offset_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((base_seed, index)).generate_state(1)[0])
 
 
-def qber_vs_offset(
-    cfg: SessionConfig, offsets: list[float]
-) -> list[tuple[float, float | None]]:
+def qber_vs_offset(cfg: SessionConfig, offsets: list[float]) -> list[tuple[float, float | None]]:
     """QBER of one session per span-phase offset Bob does not compensate.
 
-    With double-click discarding and matched bases, the expected BB84
-    error rate is sin^2(offset / 2).
+    The pairing step runs once, at the first offset; the ``i``-th offset
+    then draws one session from ``offset_seed(cfg.seed, i)``.  With
+    double-click discarding and matched bases, the expected BB84 error
+    rate is sin^2(offset / 2).
     """
-    results = []
-    for i, delta in enumerate(offsets):
-        child = replace(cfg, seed=offset_seed(cfg.seed, i))
-        stats = run_session(child, phase_error=delta)
-        results.append((delta, stats.qber))
+    try:
+        indexed = enumerate(offsets)
+    except TypeError:
+        raise InvalidParameterError(f"offsets must be iterable, got {offsets!r}") from None
+    results, fringe = [], None
+    for i, delta in indexed:
+        phase_error = _require_finite("phase_error", delta)
+        fringe = fringe or _pairing(cfg)
+        results.append((delta, _draw(cfg, fringe, phase_error, offset_seed(cfg.seed, i)).qber))
     return results

@@ -281,6 +281,29 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", path, "--delta-phi", "1e308"]) == 2
         assert_drive_phase_error(capsys)
 
+    def test_carrier_rule_is_exactly_zero(self, tmp_path, capsys):
+        # Span loss scales every bin alike.  At loss 1e-300 the carrier power
+        # is about 1e-300 and the lines above -100 dB match loss 1; at
+        # 5e-324, with Alice biased at psi = 1, it underflows to 0.0 exactly.
+        def run(loss, psi="0.0"):
+            text = BB84_CONFIG.replace("loss = 1.0", f"loss = {loss}")
+            path = write_config(tmp_path, text.replace("psi = 0.0", f"psi = {psi}", 1))
+            code = main(["spectrum", "--config", path])
+            captured = capsys.readouterr()
+            return code, [[float(x) for x in line.split(",")]
+                          for line in captured.out.split()[1:]], captured.err
+
+        code, unit, _ = run("1.0")
+        assert code == 0
+        code, faint, _ = run("1e-300")
+        assert code == 0
+        for (_, want), (_, got) in zip(unit, faint):
+            if want > -100.0:
+                assert got == pytest.approx(want, abs=1e-9)
+        code, rows, err = run("5e-324", "1.0")
+        assert (code, rows) == (2, [])
+        assert err == "error: carrier fully suppressed; carrier-relative spectrum undefined\n"
+
     @pytest.mark.parametrize("order", ["171", "100000"])
     def test_order_above_cap_is_a_parameter_error(self, capsys, order):
         # the cap bounds the transform size and the number of output rows

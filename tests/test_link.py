@@ -19,7 +19,7 @@ from fcqkd import (
     sideband_powers,
     sideband_powers_direct,
 )
-from fcqkd.link import _direct_powers, _fringe, phase_offset, visibility
+from fcqkd.link import _direct_powers, _fringe, _fringe_powers, phase_offset, visibility
 from fcqkd.modulator import _COUPLING, carrier_amplitude, sideband_factor
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
@@ -372,6 +372,17 @@ class TestSidebandPowers:
             sideband_powers(
                 make_modulator(AM, 0.1, 0.0), make_modulator(AM, 0.1, 0.0), link()
             )
+
+    def test_overflowing_fringe_argument_is_a_parameter_error(self):
+        # phi_b - phi_a + link_phase = 1e308 + 1e308 + 1e308 is inf, whose
+        # cosine is a math domain error
+        alice, bob = make_modulator(UM, 0.1, 0.0, -1e308), make_modulator(PM, 0.05, 0.0, 1e308)
+        with pytest.raises(InvalidParameterError, match="phi_b - phi_a \\+ link_phase overflows"):
+            sideband_powers(alice, bob, link(1e308))
+        # a finite sum is the fringe law's argument, unchanged
+        alice = make_modulator(UM, 0.1, 0.0, 5e307)
+        _, _, vis, offset = _fringe(alice, bob)
+        assert sideband_powers(alice, bob, link(-1e308)) == _fringe_powers(vis, offset, -5e307)
 
     def test_single_zero_coefficient_gives_half(self):
         p_up, p_low = sideband_powers(

@@ -64,6 +64,16 @@ def test_negative_index_rejected():
         ModulatorSpec(ModulatorKind.PM, -0.1)
 
 
+def test_zero_index_is_the_bound():
+    # the smallest subnormals on each side of 0: any negative threshold
+    # lets -5e-324 through, any positive one rejects 5e-324, and m <= 0
+    # would reject an unmodulated arm
+    with pytest.raises(InvalidParameterError, match="must be >= 0, got -5e-324"):
+        make_modulator(ModulatorKind.UM, -5e-324)
+    for m in (0.0, -0.0, 5e-324):
+        assert make_modulator(ModulatorKind.UM, m).m == m
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidParameterError, match="unknown modulator kind"):
         ModulatorSpec("PM", 0.1)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fcqkd import (
     B92,
     BB84,
+    FcqkdError,
     InfeasibleProtocolError,
     InvalidParameterError,
     LinkSpec,
@@ -258,6 +259,30 @@ def test_non_finite_phase_error_rejected(phase_error):
             call()
 
 
+def test_overflowing_span_phase_is_a_parameter_error():
+    # link_phase + phase_error = 1.7e308 + 1.7e308 is inf, whose cosine is
+    # a math domain error; a sum that stays finite runs
+    cfg = b92_config(link=LinkSpec(rf_frequency=1.0, link_phase=1.7e308))
+    for call in (run_session, expected_counts, lambda c, e: qber_vs_offset(c, [0.0, e])):
+        with pytest.raises(InvalidParameterError, match="link_phase \\+ phase_error overflows"):
+            call(cfg, 1.7e308)
+        call(cfg, -1.7e308)
+
+
+@pytest.mark.parametrize("phase_error", [True, "0.1", None, np.array(0.1), np.array([0.1, 0.2])])
+def test_non_real_phase_error_rejected(phase_error):
+    cfg = bb84_config()
+    for call in (run_session, expected_counts, lambda c, e: qber_vs_offset(c, [e])):
+        with pytest.raises(InvalidParameterError, match="phase_error must be a real number"):
+            call(cfg, phase_error)
+
+
+@pytest.mark.parametrize("offsets", [None, 0.5, np.array(0.5)], ids=repr)
+def test_non_iterable_offsets_rejected(offsets):
+    with pytest.raises(InvalidParameterError, match="offsets must be iterable"):
+        qber_vs_offset(bb84_config(), offsets)
+
+
 def test_expected_counts_match_mean_over_seeds():
     # dark counts and an uncompensated phase make every count nonzero
     for cfg_maker in (bb84_config, b92_config):
@@ -303,6 +328,44 @@ def test_power_below_zero_is_no_light(monkeypatch):
     monkeypatch.setattr(montecarlo, "_fringe_powers", lambda vis, offset, x: (-1e-17, 1.0))
     stats = run_session(bb84_config(mu=1e3))
     assert stats.upper_clicks == 0 and stats.lower_clicks == stats.sent
+
+
+class TestOffsetSweep:
+    def test_one_pairing_step_and_no_config_per_offset(self, monkeypatch):
+        cfg, offsets = bb84_config(), [0.0, 0.4, 0.8, 1.2, 1.6]
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "check_protocol", counting("check", check_protocol))
+        monkeypatch.setattr(montecarlo, "_fringe", counting("fringe", _fringe))
+        post_init = SessionConfig.__post_init__
+        monkeypatch.setattr(SessionConfig, "__post_init__", counting("config", post_init))
+        seeds = []
+        rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or rng(seed))
+        results = qber_vs_offset(cfg, offsets)
+        assert calls == ["check", "fringe"]
+        assert seeds == [offset_seed(cfg.seed, i) for i in range(len(offsets))]
+        monkeypatch.undo()
+        for i, (delta, qber) in enumerate(results):
+            child = replace(cfg, seed=offset_seed(cfg.seed, i))
+            assert (delta, qber) == (offsets[i], run_session(child, phase_error=delta).qber)
+
+    def test_infeasible_pairing_with_no_offsets_returns_nothing(self):
+        cfg = bb84_config(alice=make_modulator(AM, 0.1, 0.4), bob=make_modulator(AM, 0.1, 0.7))
+        assert qber_vs_offset(cfg, []) == []
+        with pytest.raises(InfeasibleProtocolError):
+            qber_vs_offset(cfg, [0.0, math.nan])
+
+    def test_non_finite_first_offset_raises_before_the_pairing(self):
+        cfg = bb84_config(alice=make_modulator(AM, 0.1, 0.4), bob=make_modulator(AM, 0.1, 0.7))
+        with pytest.raises(InvalidParameterError, match="phase_error must be finite"):
+            qber_vs_offset(cfg, [math.nan, 0.0])
 
 
 def test_numpy_integers_report_python_ints():
@@ -479,3 +542,37 @@ class TestFlatKernel:
         # total, so the two differ by at most 2 * 15 half-ulps of it
         for value, ref in zip(got[1], want[1]):
             assert abs(value - ref) <= 16 * sys.float_info.epsilon * abs(ref)
+
+
+# Phase errors and offsets a caller may pass by mistake: non-reals, bools,
+# non-finite and huge floats, numpy scalars, and 0-d and 2-element arrays.
+_JUNK = st.one_of(
+    st.sampled_from(["0.1", "", None, True, False, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    st.floats(),
+    st.sampled_from([np.float64(0.3), np.float32(-2.5), np.int64(2), np.bool_(True), np.float64(math.inf)]),
+    st.floats(-10.0, 10.0).map(np.array),
+    st.floats(-10.0, 10.0).map(lambda x: np.array([x, -x])),
+)
+_NOT_ITERABLE = st.sampled_from([None, 5, 0.5, math.nan, np.float64(0.5), np.array(0.5), object()])
+
+
+class TestJunkInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sessions(),
+        st.sampled_from([None, 1.7e308, -1.7e308]),
+        _JUNK,
+        st.one_of(st.lists(_JUNK, max_size=3), st.text(max_size=2), _NOT_ITERABLE),
+    )
+    def test_returns_or_raises_a_typed_error(self, cfg, link_phase, phase_error, offsets):
+        if link_phase is not None:
+            cfg = replace(cfg, link=replace(cfg.link, link_phase=link_phase))
+        for call in (
+            lambda: run_session(cfg, phase_error),
+            lambda: expected_counts(cfg, phase_error),
+            lambda: qber_vs_offset(cfg, offsets),
+        ):
+            try:
+                call()
+            except FcqkdError:
+                pass

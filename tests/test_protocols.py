@@ -500,6 +500,15 @@ class TestStackedEvaluation:
             _outcome(reference_compare_row, alice_kind, bob_kind, row, grid)
         )
 
+    def test_nudge_tolerance_at_1e_3(self):
+        # AM-UM on a one-point grid at pi/2 - d.  Just off the dead locus
+        # psi_a = (2n+1)pi/2 the B92 offset sits about d from its class, and
+        # just off psi_b = (2n+1)pi/2 it sits 1e-6 away; the first locus is
+        # reported only while d is inside the tolerance.
+        for d, label in ((3e-4, "psi_a = (2n+1)*pi/2"), (3e-3, "psi_b = (2n+1)*pi/2")):
+            verdict = classify_pair(AM, UM, [0.5 * math.pi - d]).b92
+            assert (verdict.bias_constraint, verdict.failure_reason) == (label, "zero-visibility")
+
     def test_fixed_number_of_array_evaluations(self, monkeypatch):
         calls = []
         original = protocols._unit_coeffs
