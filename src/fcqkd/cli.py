@@ -155,7 +155,8 @@ def cmd_spectrum(
         raise InvalidParameterError(f"--delta-phi must be finite, got {delta_phi!r}")
     _, offset = _fringe_offset(cfg)
     bob = dataclasses.replace(cfg.bob, phi=_bob_phi_for(cfg, offset, delta_phi))
-    spectrum = exact_tandem_spectrum(cfg.alice, bob, cfg.link, order)
+    # every bin is read relative to the carrier, so span loss cancels: leave it out
+    spectrum = exact_tandem_spectrum(cfg.alice, bob, dataclasses.replace(cfg.link, loss=1.0), order)
     carrier = spectrum.power(0)
     if carrier <= 0.0:
         raise DegenerateConfigurationError(

@@ -97,10 +97,10 @@ def _checked_order(order: int | None, m_max: float) -> int:
         raise InvalidParameterError(
             f"order {order} above the supported maximum {MAX_ORDER}"
         )
-    if order < 3.0 * m_max + 5.0:
+    lowest = 3.0 * m_max + 5.0
+    if order < lowest:
         raise TruncationError(
-            f"order {order} too low for modulation depth {m_max} "
-            f"(need at least {3.0 * m_max + 5.0:.1f})"
+            f"order {order} too low for modulation depth {m_max} (need at least {lowest:.1f})"
         )
     return int(order)
 
@@ -221,10 +221,9 @@ def _error_points(
     """:func:`small_signal_error` of each (alice, bob, link) point, from one Bessel row per drive.
 
     The order is the one the largest drive needs.  The span delays Alice's
-    drive phase; its loss scales the tandem lines and the norm alike, so it
-    cancels.  The weights' magnitudes are |Bob's harmonic 0| * |Alice's
-    harmonic 1| and the reverse, and the tandem's +/-1 lines are
-    sum_n A_n B_{+/-1-n}.
+    drive phase; its loss would cancel, so it is never applied.  The
+    weights' magnitudes are |Bob's harmonic 0| * |Alice's harmonic 1| and
+    the reverse, and the tandem's +/-1 lines are sum_n A_n B_{+/-1-n}.
     """
     p_small = []
     for alice, bob, link in points:
@@ -267,9 +266,9 @@ def small_signal_error(
     """(upper, lower) deviation of the first-order powers from the exact ones.
 
     Each model is normalized the same way, by twice its own summed squared
-    first-harmonic interference weights (times span loss on the exact
-    path), so the comparison captures the fringe-shape error left by
-    dropping the higher harmonics rather than a common scale factor.
+    first-harmonic interference weights, so the comparison captures the
+    fringe-shape error left by dropping the higher harmonics rather than a
+    common scale factor.  Span loss would cancel and is never applied.
     Relative error is reported where the exact power exceeds 1e-9; below
     that the absolute difference is returned instead.
     """

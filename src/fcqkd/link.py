@@ -36,9 +36,10 @@ class LinkSpec:
     """Dispersion-compensated fiber span.
 
     Only the accumulated RF-scale phase ``link_phase`` (= Omega * beta1 * L)
-    and a flat power transmittance enter the band amplitudes.  Nothing in
-    the package reads ``rf_frequency`` (rad/s); the ``spectrum`` command
-    labels its bins from the config's ``[link] rf_ghz``.
+    enters the normalized powers; the flat power transmittance ``loss``
+    scales only ``exact_tandem_spectrum``'s amplitudes.  Nothing in the
+    package reads ``rf_frequency`` (rad/s); the ``spectrum`` command labels
+    its bins from the config's ``[link] rf_ghz``.
     """
 
     rf_frequency: float
@@ -187,10 +188,11 @@ def sideband_powers_direct(
     """Same powers evaluated from the explicit band cascade.
 
     Reference path for the closed form: |cascaded band|^2 divided by
-    2 * (|alice_coeff|^2 + |bob_coeff|^2) * loss.  The coefficient
-    magnitudes come from the same bands, |alice_coeff| = |Bob's carrier| *
-    |Alice's upper band| and the reverse for Bob, and both are taken
-    relative to their hypot so that no drive index overflows the squares.
+    2 * (|alice_coeff|^2 + |bob_coeff|^2); span loss cancels.  The
+    coefficient magnitudes come from the same bands, |alice_coeff| = |Bob's
+    carrier| * |Alice's upper band| and the reverse for Bob, and both are
+    taken relative to their hypot so that no drive index overflows the
+    squares.
     """
     return _direct_powers(alice, bob, bob.phi, link)
 
@@ -201,9 +203,9 @@ def _direct_powers(
     """:func:`sideband_powers_direct` with Bob driven at the RF phase ``bob_phi``.
 
     Each modulator gives a carrier and the sidebands s*e^{+/-j phi}; the
-    span scales Alice's bands by sqrt(loss) and turns her upper (lower)
-    sideband by e^{-j link_phase} (its conjugate); Bob multiplies, and the
-    second-order products of sidebands are dropped.
+    span turns Alice's upper (lower) sideband by e^{-j link_phase} (its
+    conjugate); Bob multiplies, and the second-order products of sidebands
+    are dropped.
     """
     a_u = cmath.exp(1j * alice.psi)
     b_u = cmath.exp(1j * bob.psi)
@@ -220,12 +222,7 @@ def _direct_powers(
         raise _no_sideband_light()
     a_lower = a_side * cmath.exp(-1j * alice.phi)
     b_lower = b_side * cmath.exp(-1j * bob_phi)
-    amp = math.sqrt(link.loss)
     rot = cmath.exp(-1j * link.link_phase)
-    a_carrier = amp * a_carrier  # Alice's bands after the span
-    a_upper = amp * a_upper * rot
-    a_lower = amp * a_lower * rot.conjugate()
-    upper = b_carrier * a_upper + a_carrier * b_upper
-    lower = b_carrier * a_lower + a_carrier * b_lower
-    norm = 2.0 * link.loss
-    return (abs(upper) / scale) ** 2 / norm, (abs(lower) / scale) ** 2 / norm
+    upper = b_carrier * (a_upper * rot) + a_carrier * b_upper
+    lower = b_carrier * (a_lower * rot.conjugate()) + a_carrier * b_lower
+    return (abs(upper) / scale) ** 2 / 2.0, (abs(lower) / scale) ** 2 / 2.0

@@ -21,6 +21,7 @@ from fcqkd import (
     TruncationError,
     cli,
     config,
+    harmonics,
     link,
     montecarlo,
     verification,
@@ -282,9 +283,9 @@ class TestSpectrumCommand:
         assert_drive_phase_error(capsys)
 
     def test_carrier_rule_is_exactly_zero(self, tmp_path, capsys):
-        # Span loss scales every bin alike.  At loss 1e-300 the carrier power
-        # is about 1e-300 and the lines above -100 dB match loss 1; at
-        # 5e-324, with Alice biased at psi = 1, it underflows to 0.0 exactly.
+        # Span loss cancels out of a carrier-relative spectrum, so the
+        # transform runs without it: at 5e-324, with Alice biased at psi = 1,
+        # the carrier no longer underflows.
         def run(loss, psi="0.0"):
             text = BB84_CONFIG.replace("loss = 1.0", f"loss = {loss}")
             path = write_config(tmp_path, text.replace("psi = 0.0", f"psi = {psi}", 1))
@@ -300,9 +301,74 @@ class TestSpectrumCommand:
         for (_, want), (_, got) in zip(unit, faint):
             if want > -100.0:
                 assert got == pytest.approx(want, abs=1e-9)
-        code, rows, err = run("5e-324", "1.0")
-        assert (code, rows) == (2, [])
-        assert err == "error: carrier fully suppressed; carrier-relative spectrum undefined\n"
+        assert run("5e-324", "1.0") == run("1.0", "1.0")
+
+    def test_zero_carrier_is_a_degenerate_configuration(self, monkeypatch, capsys):
+        # no valid input is known to give a carrier of exactly 0.0; the rule
+        # keeps the carrier-relative dB from dividing by zero
+        exact = harmonics.exact_tandem_spectrum
+
+        def carrier_zeroed(*args):
+            spectrum = exact(*args)
+            amps = spectrum.amps.copy()
+            amps[spectrum.order] = 0.0
+            return harmonics.HarmonicSpectrum(spectrum.order, amps)
+
+        monkeypatch.setattr(harmonics, "exact_tandem_spectrum", carrier_zeroed)
+        assert main(["spectrum"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: carrier fully suppressed; carrier-relative spectrum undefined\n"
+        )
+
+    @pytest.mark.parametrize("command", ["sweep", "spectrum"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_span_loss_leaves_the_output_unchanged(self, tmp_path, capsys, command, fmt):
+        # the powers are normalized and the spectrum is carrier-relative, so
+        # loss cancels; 5e-324, the least positive float, is a valid loss
+        def run(loss):
+            text = BB84_CONFIG.replace("loss = 1.0", f"loss = {loss}")
+            path = write_config(tmp_path, text.replace("psi = 0.0", "psi = 1.0", 1))
+            code = main([command, "--config", path, "--format", fmt])
+            return code, capsys.readouterr().out
+
+        code, want = run("1.0")
+        assert code == 0 and want
+        for loss in ("0.5", "1e-300", "5e-324"):
+            assert run(loss) == (0, want)
+
+    def test_db_floor_reads_exact_zero_bins(self, tmp_path, capsys):
+        # AM/AM at m = 0.001: the bins k = +/-16 (+/-240 GHz) hold exactly 0.0
+        # at order 20 and read the -400 dB floor; no row reads below it
+        path = write_config(
+            tmp_path,
+            "[alice]\nkind = AM\nm = 0.001\npsi = 0.7\n\n"
+            "[bob]\nkind = AM\nm = 0.001\npsi = 0.3\n",
+        )
+        assert main(["spectrum", "--config", path, "--order", "20"]) == 0
+        lines = capsys.readouterr().out.split()[1:]
+        rows = dict(tuple(map(float, line.split(","))) for line in lines)
+        assert len(rows) == 41
+        assert rows[-240.0] == rows[240.0] == -400.0
+        assert min(rows.values()) == -400.0
+
+    def test_db_floor_clamps_lines_below_it(self, tmp_path, capsys):
+        # PM/PM at m = 1e-8: the lines from |k| = 3 on lie near 1e-50 of the
+        # carrier, under the floor's 1e-40 but not zero, and read -400 dB
+        text = "[alice]\nkind = PM\nm = 1e-8\npsi = 0\n\n[bob]\nkind = PM\nm = 1e-8\npsi = 0\n"
+        cfg = parse_config(text)
+        assert main(["spectrum", "--config", write_config(tmp_path, text)]) == 0
+        rows = [tuple(map(float, line.split(","))) for line in capsys.readouterr().out.split()[1:]]
+        _, offset = cli._fringe_offset(cfg)
+        bob = dataclasses.replace(cfg.bob, phi=cli._bob_phi_for(cfg, offset, 0.0))
+        spectrum = harmonics.exact_tandem_spectrum(cfg.alice, bob, cfg.link)
+        carrier = spectrum.power(0)
+        ratios = [spectrum.power(k) / carrier for k in range(-spectrum.order, spectrum.order + 1)]
+        under = [db for (_, db), ratio in zip(rows, ratios) if 0.0 < ratio < 1e-40]
+        assert len(under) >= 2
+        assert under == [-400.0] * len(under)
+        assert min(db for _, db in rows) == -400.0
 
     @pytest.mark.parametrize("order", ["171", "100000"])
     def test_order_above_cap_is_a_parameter_error(self, capsys, order):

@@ -109,6 +109,11 @@ class TestModulatorSpectrum:
     def test_order_precondition(self):
         with pytest.raises(TruncationError):
             solo_spectrum(make_modulator(PM, 1.0), order=6)
+        # at order 7 the bins beyond hold 1.8e-14 of the power, under the tail
+        # rule's 1e-12, but the floor 3m + 5 = 8 still refuses the order
+        with pytest.raises(TruncationError, match=r"need at least 8\.0"):
+            solo_spectrum(make_modulator(PM, 1.0), order=7)
+        assert solo_spectrum(make_modulator(PM, 1.0), order=8).order == 8
 
     def test_small_signal_limit(self):
         # first harmonics converge to the first-order bands at rate >= m^2,

@@ -153,11 +153,33 @@ class TestDirectKernel:
         alice = make_modulator(ka, ma, pa, fa)
         bob = make_modulator(kb, mb, pb, fb)
         ln = link(phase, loss)
-        want = outcome(cascade_powers, alice, bob, ln)
+        # the kernel leaves out the loss, which cancels: bit for bit the lossless cascade
+        want = outcome(cascade_powers, alice, bob, link(phase, 1.0))
         assert outcome(sideband_powers_direct, alice, bob, ln) == want
         # Bob's drive phase as an argument, as the sweep passes it
         undriven_phase = make_modulator(kb, mb, pb, 0.0)
         assert outcome(_direct_powers, alice, undriven_phase, fb, ln) == want
+        # and within rounding of the cascade that applies it, where its two
+        # interference terms are far above the subnormals, which lose digits
+        lossy = outcome(cascade_powers, alice, bob, ln)
+        a, b = band_amplitudes(alice), band_amplitudes(bob)
+        terms = [abs(b.carrier * a.upper), abs(a.carrier * b.upper)]
+        if isinstance(want[0], type):
+            assert lossy == want
+        elif min(term for term in terms if term > 0.0) > 1e-200:
+            assert max(abs(got - ref) for got, ref in zip(want, lossy)) <= 4e-15
+
+    @example(UM, AM, 0.8, 0.5, 1.0, 0.4, 0.3, 0.0, 0.7, 5e-324)  # the least positive float
+    @example(UM, AM, 0.8, 0.5, 1.0, 0.4, 0.3, 0.0, 0.7, 1e-300)
+    @given(
+        st.sampled_from(KINDS), st.sampled_from(KINDS), drives, drives, biases, biases,
+        angles, angles, angles, st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_loss_leaves_the_powers_unchanged(self, ka, kb, ma, mb, pa, pb, fa, fb, phase, loss):
+        alice = make_modulator(ka, ma, pa, fa)
+        bob = make_modulator(kb, mb, pb, fb)
+        want = outcome(sideband_powers_direct, alice, bob, link(phase, 1.0))
+        assert outcome(sideband_powers_direct, alice, bob, link(phase, loss)) == want
 
 
 class TestPropagate:
