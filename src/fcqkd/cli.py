@@ -149,7 +149,7 @@ def cmd_sweep(cfg: RunConfig, fmt: str, out_path: str | None) -> int:
 def cmd_spectrum(
     cfg: RunConfig, delta_phi: float, order: int | None, fmt: str, out_path: str | None
 ) -> int:
-    from .harmonics import exact_tandem_spectrum
+    from .harmonics import _rounding_floor, exact_tandem_spectrum
 
     if not math.isfinite(delta_phi):
         raise InvalidParameterError(f"--delta-phi must be finite, got {delta_phi!r}")
@@ -158,7 +158,8 @@ def cmd_spectrum(
     # every bin is read relative to the carrier, so span loss cancels: leave it out
     spectrum = exact_tandem_spectrum(cfg.alice, bob, dataclasses.replace(cfg.link, loss=1.0), order)
     carrier = spectrum.power(0)
-    if carrier <= 0.0:
+    # a carrier within the transform's rounding would put every line at a noise ratio
+    if carrier <= _rounding_floor(spectrum.order) * spectrum.total_power():
         raise DegenerateConfigurationError(
             "carrier fully suppressed; carrier-relative spectrum undefined"
         )

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,20 @@ def _phases(order: int) -> np.ndarray:
         grid.flags.writeable = False
         _PHASE_GRIDS[n] = grid
     return grid
+
+
+def _rounding_floor(order: int) -> float:
+    """Share of the total power at or below which a bin of the ``order`` transform is noise.
+
+    A radix-2 FFT of n samples rounds any one coefficient by at most about
+    log2(n) * eps * sqrt(total power) (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., section 24.1), and sampling the fields
+    adds a few eps per sample.  The floor is (n * eps)^2 of the total: it
+    lies above the square of that bound at every transform size used (n >=
+    32, where n >= 6 log2(n)), so a bin at or below it holds no digit of
+    its own.
+    """
+    return (_phases(order).size * sys.float_info.epsilon) ** 2
 
 
 def exact_tandem_spectrum(

@@ -30,6 +30,9 @@ from .modulator import _COUPLING, ModulatorSpec, _require_real, carrier_amplitud
 B92 = "B92"
 BB84 = "BB84"
 
+# A coefficient at or below this fraction of its a-priori scale is an analytic zero.
+_ZERO_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -70,7 +73,7 @@ def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, boo
     The closed form of every pairing: a kind picks the couplings and the
     arm-2 share of the drive index m from the coupling table.  Arrays of
     bias phasors give arrays.  A coefficient is treated as an analytic zero
-    when it is below 1e-12 of its a-priori scale |carrier| * |sideband| <=
+    when it is below ``_ZERO_RTOL`` of its a-priori scale |carrier| * |sideband| <=
     (eps1 m1 + eps2 m2) / 2 (the couplings sum to 1): biases like pi/2 land
     within one ulp of the exact null, where the value carries no phase
     information.
@@ -84,7 +87,7 @@ def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, boo
     b = carrier_amplitude(a_eps1, a_eps2, a_u) * sideband_factor(b_eps1, b_eps2, b_m, b_m2, b_u)
     scale_a = 0.5 * (a_eps1 * a_m + a_eps2 * a_m2)
     scale_b = 0.5 * (b_eps1 * b_m + b_eps2 * b_m2)
-    return a, b, abs(a) <= 1e-12 * scale_a, abs(b) <= 1e-12 * scale_b
+    return a, b, abs(a) <= _ZERO_RTOL * scale_a, abs(b) <= _ZERO_RTOL * scale_b
 
 
 def interference_coeffs(

@@ -53,10 +53,11 @@ _COUPLING = {
 
 
 def _coupling(kind: ModulatorKind) -> tuple[float, float, float]:
-    """The coupling-table entry of ``kind``; rejects unknown kinds."""
-    if kind not in _COUPLING:
-        raise InvalidParameterError(f"unknown modulator kind {kind!r}")
-    return _COUPLING[kind]
+    """The coupling-table entry of ``kind``; rejects unknown kinds, unhashable ones too."""
+    try:
+        return _COUPLING[kind]
+    except (KeyError, TypeError):
+        raise InvalidParameterError(f"unknown modulator kind {kind!r}") from None
 
 
 def _require_real(name: str, value) -> float:

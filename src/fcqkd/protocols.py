@@ -11,14 +11,18 @@ those conditions the counters follow
 with dphi = phi_b - phi_a + link_phase + offset.
 
 :func:`classify_pair` derives feasibility, bias constraints and required
-index ratios purely numerically from the interference coefficients.  Both
-protocols read their verdicts from at most three array evaluations: the
-n x n bias grid, every candidate family's (t, n) lattice stacked into one
-block and, only when a zero-visibility locus is dead, that lattice nudged
-off it.  Every reported number comes from the scalar evaluation at its
-point.  :func:`compare_row_with_reference` checks a row, in one grid
-evaluation, against the hand-derived closed forms of ``REFERENCE_TABLE``,
-as the ``table2`` command and the acceptance suite do.
+index ratios purely numerically from the interference coefficients.  They
+are a = C_B S_A and b = C_A S_B, with C a side's carrier amplitude and S
+its sideband factor, so every test is a product of one value per side.
+Each side's values are evaluated once per distinct bias: the grid biases
+t, t + 1e-6 (just off a dead locus) and t plus each of the ten family
+angles; at the angles themselves they are module constants.  The n x n
+bias grid is then one outer product of two n-vectors per protocol, and
+the candidate families' (t, n) lattices are three blocks of products of
+the same vectors.  Every reported number comes from the scalar evaluation
+at its point.  :func:`compare_row_with_reference` checks a row, from the
+same per-side values, against the hand-derived closed forms of
+``REFERENCE_TABLE``, as the ``table2`` command and the acceptance suite do.
 """
 
 from __future__ import annotations
@@ -31,8 +35,16 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError, PhaseUndefinedError
-from .link import B92, BB84, _coefficients, phase_offset
-from .modulator import ModulatorKind, ModulatorSpec, _coupling, _require_finite
+from .link import _ZERO_RTOL, B92, BB84, _coefficients, phase_offset
+from .modulator import (
+    _COUPLING,
+    ModulatorKind,
+    ModulatorSpec,
+    _coupling,
+    _require_finite,
+    carrier_amplitude,
+    sideband_factor,
+)
 
 THETA_TOL = 1e-9
 
@@ -74,10 +86,11 @@ class ClassificationRow:
 
 def _required_shift(protocol: str) -> float:
     """Phase-offset class (mod pi) the protocol needs; rejects unknown names."""
-    if protocol == B92:
-        return 0.0
-    if protocol == BB84:
-        return 0.5 * math.pi
+    if isinstance(protocol, str):
+        if protocol == B92:
+            return 0.0
+        if protocol == BB84:
+            return 0.5 * math.pi
     raise InvalidParameterError(f"unknown protocol {protocol!r}, expected B92 or BB84")
 
 
@@ -111,6 +124,8 @@ def _in_class(coeffs, shift: float, tol: float = THETA_TOL):
 def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> ProtocolFeasibility:
     """Verdict for ``protocol`` at the given biases; the drive indices are free."""
     shift = _required_shift(protocol)
+    if not (isinstance(alice, ModulatorSpec) and isinstance(bob, ModulatorSpec)):
+        raise InvalidParameterError(f"alice and bob must be ModulatorSpec, got {alice!r}, {bob!r}")
     a, b, a_zero, b_zero = coeffs = _coeffs_at(alice.kind, bob.kind, alice.psi, bob.psi)
     if _in_class(coeffs, shift):
         return ProtocolFeasibility(protocol, True, "as-configured", abs(b) / abs(a), "none")
@@ -121,30 +136,140 @@ def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> P
 # --- bias-constraint families --------------------------------------------
 #
 # Candidate bias families probed by classify_pair, in order of preference,
-# then the two loci where a coefficient may die.  Each maps (free bias t,
-# integer n) -> (psi_a, psi_b), for numbers or broadcastable arrays alike.
+# then the two loci where a coefficient may die.  Each fixes one bias, or
+# Bob's offset from Alice's, to one of ten angles (n*pi, then (2n+1)*pi/2,
+# for n in _N_RANGE) and leaves the other bias t free.  Its (t, n) lattice
+# is one half of one block: block 0 puts the angle on Alice's side, block 1
+# on Bob's, block 2 between them.
 
 _N_RANGE = np.arange(-2, 3)
+_ANGLES = np.concatenate((_N_RANGE * math.pi, (2 * _N_RANGE + 1) * 0.5 * math.pi))
+# A dead locus is probed this far off it, at this looser offset tolerance.
+_NUDGE = 1e-6
+_NUDGE_TOL = 1e-3
 
 
 class _Family(NamedTuple):
     label: str
-    points: Callable[[float, int], tuple[float, float]]
+    block: int
+    half: int  # 0: the angles n*pi, 1: the angles (2n+1)*pi/2
+
+    def point(self, t, n):
+        """(psi_a, psi_b) at free bias t and integer n."""
+        angle = _ANGLES[5 * self.half + n + 2]
+        return ((angle, t), (t, angle), (t, t + angle))[self.block]
 
 
 _FAMILIES = (
-    _Family("psi_a = n*pi", lambda t, n: (n * math.pi, t)),
-    _Family("psi_b = n*pi", lambda t, n: (t, n * math.pi)),
-    _Family("psi_b = psi_a + n*pi", lambda t, n: (t, t + n * math.pi)),
-    _Family("psi_b = psi_a + (2n+1)*pi/2", lambda t, n: (t, t + (2 * n + 1) * 0.5 * math.pi)),
-    _Family("psi_a = (2n+1)*pi/2", lambda t, n: ((2 * n + 1) * 0.5 * math.pi, t)),
-    _Family("psi_b = (2n+1)*pi/2", lambda t, n: (t, (2 * n + 1) * 0.5 * math.pi)),
+    _Family("psi_a = n*pi", 0, 0),
+    _Family("psi_b = n*pi", 1, 0),
+    _Family("psi_b = psi_a + n*pi", 2, 0),
+    _Family("psi_b = psi_a + (2n+1)*pi/2", 2, 1),
+    _Family("psi_a = (2n+1)*pi/2", 0, 1),
+    _Family("psi_b = (2n+1)*pi/2", 1, 1),
 )
-_ZERO_VIS = slice(4, None)
-_FEASIBLE_FAMILIES, _ZERO_VIS_FAMILIES = _FAMILIES[:4], _FAMILIES[_ZERO_VIS]
+_FEASIBLE_FAMILIES, _ZERO_VIS_FAMILIES = _FAMILIES[:4], _FAMILIES[4:]
 # Where the reference check samples each feasible constraint, at free bias t.
-_SAMPLE_POINTS = {family.label: family.points for family in _FEASIBLE_FAMILIES}
+_SAMPLE_POINTS = {family.label: family.point for family in _FEASIBLE_FAMILIES}
 _SAMPLE_POINTS["any"] = lambda t, n: (t, t * 0.8 + 0.1)
+
+
+# --- per-side factors ------------------------------------------------------
+#
+# With C a side's carrier amplitude and S its sideband factor, a = C_B S_A
+# and b = C_A S_B, so b conj(a) = F_A(psi_a) conj(F_B(psi_b)) with
+# F = C conj(S), |a| = |S_A| |C_B| and |b| = |C_A| |S_B|: every test is a
+# product of one value per side.  A side is (its factor of b conj(a), |C|, |S|):
+# F for Alice, conj(F) for Bob.
+
+
+def _factors(coupling, u) -> tuple:
+    """(C conj(S), |C|, |S|) at unit drive index for bias phasors u.
+
+    ``coupling`` is a kind's (eps1, eps2, share), as numbers or as arrays
+    that broadcast against u.
+    """
+    eps1, eps2, share = coupling
+    c = carrier_amplitude(eps1, eps2, u)
+    s = sideband_factor(eps1, eps2, 1.0, share, u)
+    return c * s.conjugate(), np.abs(c), np.abs(s)
+
+
+def _at(side: tuple, key) -> tuple:
+    """A side's values at ``key``, an index into each of its arrays."""
+    return tuple(values[key] for values in side)
+
+
+def _angle_sides(kind: ModulatorKind) -> tuple[tuple, tuple]:
+    """Alice's and Bob's side of ``kind`` at the ten angles, then at the last five nudged."""
+    angles = np.concatenate((_ANGLES, _ANGLES[5:] + _NUDGE))
+    f, c, s = _factors(_COUPLING[kind], np.exp(1j * angles))
+    return (f, c, s), (f.conjugate(), c, s)
+
+
+_ANGLE_SIDES = {kind: _angle_sides(kind) for kind in ModulatorKind}
+# The zero rule's bound on |a| (Alice's kind) or |b| (Bob's kind), at unit drive.
+_ZERO_BOUND = {
+    kind: _ZERO_RTOL * (0.5 * (eps1 * 1.0 + eps2 * share))
+    for kind, (eps1, eps2, share) in _COUPLING.items()
+}
+# Both kinds' couplings as (2, 1) columns, Alice's row first.
+_PAIR_COUPLING = {
+    (a, b): tuple(np.array(pair)[:, None] for pair in zip(_COUPLING[a], _COUPLING[b]))
+    for a in ModulatorKind
+    for b in ModulatorKind
+}
+# Offsets from the grid bias t of the columns each call evaluates: t, the
+# nudged t, then t plus each angle.
+_OFFSETS = np.concatenate(([0.0, _NUDGE], _ANGLES))
+
+
+def _near_class(z: np.ndarray, tol: float) -> np.ndarray:
+    """Elementwise |Im z| <= tan(tol) |Re z|, as in :func:`_in_class`; overwrites ``z``."""
+    parts = np.abs(z.view(np.float64), out=z.view(np.float64))
+    re = parts[..., 0::2]
+    re *= math.tan(tol)
+    return parts[..., 1::2] <= re
+
+
+def _zero_anywhere(carrier_min, sideband_min, bounds) -> bool:
+    """Whether the zero rule holds anywhere on a grid of (psi_a, psi_b).
+
+    ``carrier_min`` and ``sideband_min`` are the least |C| and |S| of
+    (Alice's, Bob's) side.  Rounding is monotonic, so the least product of
+    non-negative factors is the product of the least factors.
+    """
+    (c_a, c_b), (s_a, s_b) = carrier_min, sideband_min
+    return s_a * c_b <= bounds[0] or c_a * s_b <= bounds[1]
+
+
+def _blocks(alice: tuple, bob: tuple) -> np.ndarray:
+    """Alice's values times Bob's over the lattice blocks: (blocks, n, angles).
+
+    ``alice`` is (values at t, at the angles); ``bob`` is the same and, for
+    a third block, its values at t + each angle.
+    """
+    a_t, a_angle = alice
+    b_t, b_angle, *b_offset = bob
+    out = np.empty((2 + len(b_offset), a_t.size, a_angle.size), np.result_type(a_t, b_t))
+    np.multiply(a_angle, b_t[:, None], out=out[0])
+    np.multiply(a_t[:, None], b_angle, out=out[1])
+    if b_offset:
+        np.multiply(a_t[:, None], b_offset[0], out=out[2])
+    return out
+
+
+def _zero_blocks(alice: tuple, bob: tuple, bounds: tuple[float, float]) -> np.ndarray:
+    """Where either coefficient is zero over the lattice blocks of two sides."""
+    zero = _blocks([s for _, _, s in alice], [c for _, c, _ in bob]) <= bounds[0]
+    zero |= _blocks([c for _, c, _ in alice], [s for _, _, s in bob]) <= bounds[1]
+    return zero
+
+
+def _near_blocks(alice: tuple, bob: tuple, shift: float, tol: float) -> np.ndarray:
+    """Whether the offset is within ``tol`` of ``shift`` mod pi over the lattice blocks."""
+    rotation = cmath.exp(-1j * shift)
+    return _near_class(_blocks([f * rotation for f, _, _ in alice], [f for f, _, _ in bob]), tol)
 
 
 def _bias_grid(psi_grid) -> np.ndarray:
@@ -177,39 +302,61 @@ def classify_pair(
     _check_kinds(alice_kind, bob_kind)
     psi = _bias_grid(psi_grid)
     n = psi.size
-    u = np.exp(1j * psi)
-    grid = _unit_coeffs(alice_kind, bob_kind, u[:, None], u)
-    everywhere = {p: _in_class(grid, _required_shift(p)).all() for p in (B92, BB84)}
-    del grid  # not held beside the lattices, which would raise the peak memory
-    # Each family's (t, n) lattice, row-major, stacked: angles[side, family].
-    angles = np.empty((2, len(_FAMILIES), n, _N_RANGE.size))
-    for i, family in enumerate(_FAMILIES):
-        angles[0, i], angles[1, i] = family.points(psi[:, None], _N_RANGE)
-    lattice = _unit_coeffs(alice_kind, bob_kind, *np.exp(1j * angles))
-    dead = (lattice[2] | lattice[3])[_ZERO_VIS].all(axis=(1, 2))
-    # Just off a dead locus the offset must approach the required class.
-    nudged = None
-    if dead.any():
-        nudged = _unit_coeffs(alice_kind, bob_kind, *np.exp(1j * (angles[:, _ZERO_VIS] + 1e-6)))
+    bounds = (_ZERO_BOUND[alice_kind], _ZERO_BOUND[bob_kind])
+    # Alice's side in the columns of _OFFSETS she needs, Bob's in all of them.
+    u = np.exp(1j * (psi[:, None] + _OFFSETS))
+    alice = _factors(_COUPLING[alice_kind], u[:, :2])
+    bob = _factors(_COUPLING[bob_kind], u)
+    del u
+    np.conjugate(bob[0], out=bob[0])
+    alice_angles, bob_angles = _ANGLE_SIDES[alice_kind][0], _ANGLE_SIDES[bob_kind][1]
+    alice_t, bob_t = _at(alice, np.s_[:, 0]), _at(bob, np.s_[:, 0])
+    lattice = (
+        (alice_t, _at(alice_angles, np.s_[:10])),
+        (bob_t, _at(bob_angles, np.s_[:10]), _at(bob, np.s_[:, 2:])),
+    )
+    # the two zero-visibility families (second halves of blocks 0 and 1), nudged
+    nudged = (
+        (_at(alice, np.s_[:, 1]), _at(alice_angles, np.s_[10:])),
+        (_at(bob, np.s_[:, 1]), _at(bob_angles, np.s_[10:])),
+    )
+    zero_on_grid = _zero_anywhere(
+        (alice_t[1].min(), bob_t[1].min()), (alice_t[2].min(), bob_t[2].min()), bounds
+    )
+    zero = _zero_blocks(*lattice, bounds)
+    dead = zero[:2, :, 5:].all(axis=(1, 2))
 
     def verdict(protocol: str) -> ProtocolFeasibility:
         shift = _required_shift(protocol)
         # The whole grid first, then each feasible family in order.
-        if everywhere[protocol]:
-            i, j = divmod(n * n // 3, n)
-            _, ratio = evaluate_pair(alice_kind, bob_kind, psi[i], psi[j])
-            return ProtocolFeasibility(protocol, True, "any", ratio, "none")
-        in_class = _in_class(lattice, shift)
-        for i, family in enumerate(_FEASIBLE_FAMILIES):
-            if in_class[i].all():
-                pa, pb = angles[:, i].reshape(2, -1)[:, in_class[i].size // 3]
-                _, ratio = evaluate_pair(alice_kind, bob_kind, pa, pb)
+        if not zero_on_grid:
+            # an outer product as a matmul: a broadcast product would also
+            # allocate iteration buffers the size of the grid
+            z = (alice_t[0] * cmath.exp(-1j * shift))[:, None] @ bob_t[0][None, :]
+            if _near_class(z, THETA_TOL).all():
+                i, j = divmod(n * n // 3, n)
+                _, ratio = evaluate_pair(alice_kind, bob_kind, psi[i], psi[j])
+                return ProtocolFeasibility(protocol, True, "any", ratio, "none")
+            del z
+        in_class = _near_blocks(*lattice, shift, THETA_TOL)
+        in_class &= ~zero
+        in_class = in_class.reshape(3, n, 2, 5).all(axis=(1, 3))
+        for family in _FEASIBLE_FAMILIES:
+            if in_class[family.block, family.half]:
+                i, k = divmod(5 * n // 3, 5)
+                _, ratio = evaluate_pair(alice_kind, bob_kind, *family.point(psi[i], k - 2))
                 return ProtocolFeasibility(protocol, True, family.label, ratio, "none")
         # Infeasible: the phase-offset condition is unreachable outright, or
-        # reachable only on a bias locus where a coefficient dies.
-        for j, family in enumerate(_ZERO_VIS_FAMILIES):
-            if dead[j] and _in_class(nudged, shift, 1e-3)[j].all():
-                return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
+        # reachable only on a bias locus where a coefficient dies.  Just off
+        # a dead locus the offset must approach the required class.
+        if dead.any():
+            near = _near_blocks(*nudged, shift, _NUDGE_TOL)
+            near &= ~_zero_blocks(*nudged, bounds)
+            for family, is_dead, ok in zip(_ZERO_VIS_FAMILIES, dead, near.all(axis=(1, 2))):
+                if is_dead and ok:
+                    return ProtocolFeasibility(
+                        protocol, False, family.label, None, "zero-visibility"
+                    )
         return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
 
     ref_bias = (float(psi[n // 3]), float(psi[(2 * n) // 3]))
@@ -388,19 +535,36 @@ def compare_row_with_reference(
     :class:`PhaseUndefinedError`.
     """
     _check_kinds(alice_kind, bob_kind)
+    if not isinstance(row, ClassificationRow):
+        raise InvalidParameterError(f"row must be a ClassificationRow, got {row!r}")
     psi = _bias_grid(psi_grid)
     n = psi.size
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     name = f"{alice_kind.value}-{bob_kind.value}"
     u = np.exp(1j * psi)
-    a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, u[:, None], u)
-    null = np.flatnonzero(a_zero | b_zero)
-    if null.size:
+    f, c, s = _factors(_PAIR_COUPLING[alice_kind, bob_kind], u)  # rows: Alice, Bob
+    bounds = (_ZERO_BOUND[alice_kind], _ZERO_BOUND[bob_kind])
+    if _zero_anywhere(c.min(axis=1).tolist(), s.min(axis=1).tolist(), bounds):
+        null = np.flatnonzero(
+            (np.multiply.outer(s[0], c[1]) <= bounds[0])
+            | (np.multiply.outer(c[0], s[1]) <= bounds[1])
+        )
         i, j = divmod(null[0], n)
         raise _null_error(alice_kind, bob_kind, psi[i], psi[j])
-    dev = np.abs(np.angle(b * a.conjugate() * np.exp(-1j * ref.theta(psi[:, None], psi))))
-    theta_bad = dev > THETA_TOL
-    ratio_bad = np.abs(np.abs(b) / np.abs(a) / ref.ratio(psi[:, None], psi) - 1.0) > THETA_TOL
+    # |b| / |a| = (|C_A| / |S_A|) (|S_B| / |C_B|), over the reference's ratio
+    ratio = (c[0] / s[0])[:, None] @ (s[1] / c[1])[None, :]
+    ratio /= ref.ratio(psi[:, None], psi)
+    ratio -= 1.0
+    ratio_bad = np.abs(ratio, out=ratio) > THETA_TOL
+    del ratio
+    # arg(b conj(a)) - theta = arg F_A - arg F_B - theta, wrapped into [-pi, pi)
+    phase = np.angle(f)
+    dev = np.subtract.outer(phase[0], phase[1])
+    dev -= ref.theta(psi[:, None], psi)
+    dev += math.pi
+    np.remainder(dev, math.tau, out=dev)
+    dev -= math.pi
+    theta_bad = np.abs(dev, out=dev) > THETA_TOL
     failures: list[str] = []
     for k in np.flatnonzero(theta_bad | ratio_bad):
         i, j = divmod(k, n)

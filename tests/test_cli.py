@@ -322,6 +322,41 @@ class TestSpectrumCommand:
             "error: carrier fully suppressed; carrier-relative spectrum undefined\n"
         )
 
+    @pytest.mark.parametrize(
+        "m, suppressed, lo, hi",
+        [
+            ("1.2024127788478865", True, 0.0, 1e-4),  # the drives add to 2.4048, J0's first zero
+            ("1.202412778847895", True, 0.1, 1.0),
+            ("1.20241277884791", False, 1.0, 10.0),
+        ],
+    )
+    def test_carrier_at_the_rounding_floor_is_suppressed(
+        self, tmp_path, capsys, m, suppressed, lo, hi
+    ):
+        # PM/PM in phase: the carrier is J0(2m), so near 2m = 2.4048 it sits
+        # at a chosen share of the transform's rounding floor.  At the zero
+        # it is rounding noise, which used to print the lines at +315.8 dB;
+        # the other two sit within 10x below and above the floor, so a floor
+        # 10x higher or lower flips one of them.
+        text = f"[alice]\nkind = PM\nm = {m}\npsi = 0\n\n[bob]\nkind = PM\nm = {m}\npsi = 0\n"
+        code = main(["spectrum", "--config", write_config(tmp_path, text), "--delta-phi", "0"])
+        captured = capsys.readouterr()
+        if suppressed:
+            assert (code, captured.out) == (2, "")
+            assert captured.err == (
+                "error: carrier fully suppressed; carrier-relative spectrum undefined\n"
+            )
+        else:
+            assert code == 0 and captured.err == ""
+            rows = dict(tuple(map(float, line.split(","))) for line in captured.out.split()[1:])
+            assert rows[0.0] == 0.0 and rows[15.0] > 260.0
+        cfg = parse_config(text)
+        _, offset = cli._fringe_offset(cfg)
+        bob = dataclasses.replace(cfg.bob, phi=cli._bob_phi_for(cfg, offset, 0.0))
+        spectrum = harmonics.exact_tandem_spectrum(cfg.alice, bob, cfg.link)
+        share = spectrum.power(0) / spectrum.total_power()
+        assert lo < share / harmonics._rounding_floor(spectrum.order) < hi
+
     @pytest.mark.parametrize("command", ["sweep", "spectrum"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_span_loss_leaves_the_output_unchanged(self, tmp_path, capsys, command, fmt):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fcqkd import (
     B92,
     BB84,
+    FcqkdError,
     InvalidParameterError,
     LinkSpec,
     ModulatorKind,
@@ -504,28 +506,113 @@ class TestStackedEvaluation:
         # AM-UM on a one-point grid at pi/2 - d.  Just off the dead locus
         # psi_a = (2n+1)pi/2 the B92 offset sits about d from its class, and
         # just off psi_b = (2n+1)pi/2 it sits 1e-6 away; the first locus is
-        # reported only while d is inside the tolerance.
-        for d, label in ((3e-4, "psi_a = (2n+1)*pi/2"), (3e-3, "psi_b = (2n+1)*pi/2")):
+        # reported only while d is inside the tolerance.  Precisely, the
+        # first offset is d - 1e-6, the nudge step: the last two cases put it
+        # at 0.9995e-3 and 1.004e-3, so a step of 1e-7 or 1e-5 swaps one.
+        for d, label in (
+            (3e-4, "psi_a = (2n+1)*pi/2"),
+            (3e-3, "psi_b = (2n+1)*pi/2"),
+            (1.0005e-3, "psi_a = (2n+1)*pi/2"),
+            (1.005e-3, "psi_b = (2n+1)*pi/2"),
+        ):
             verdict = classify_pair(AM, UM, [0.5 * math.pi - d]).b92
             assert (verdict.bias_constraint, verdict.failure_reason) == (label, "zero-visibility")
 
-    def test_fixed_number_of_array_evaluations(self, monkeypatch):
-        calls = []
-        original = protocols._unit_coeffs
+    def test_each_side_evaluated_once_per_call(self, monkeypatch):
+        shapes = []
+        original = protocols._factors
 
-        def counting(alice_kind, bob_kind, u_a, u_b):
-            if isinstance(u_a, np.ndarray) or isinstance(u_b, np.ndarray):
-                calls.append((alice_kind, bob_kind))
-            return original(alice_kind, bob_kind, u_a, u_b)
+        def counting(coupling, u):
+            shapes.append(u.shape)
+            return original(coupling, u)
 
-        monkeypatch.setattr(protocols, "_unit_coeffs", counting)
+        monkeypatch.setattr(protocols, "_factors", counting)
+        n = len(GRID)
         for alice_kind, bob_kind in ROW_ORDER:
             row = classify_pair(alice_kind, bob_kind, GRID)
-            # the grid, the stacked families, and the nudged lattice when a
-            # zero-visibility locus is dead, which it never is for PM-PM
-            assert len(calls) <= 3
-            assert len(calls) == 2 or (alice_kind, bob_kind) != (PM, PM)
-            calls.clear()
+            # Alice at t and t + 1e-6, Bob there and at t plus each of the ten
+            # family angles; both sides at the angles themselves are constants
+            assert shapes == [(n, 2), (n, 12)]
+            shapes.clear()
             assert compare_row_with_reference(alice_kind, bob_kind, row, GRID) == []
-            assert len(calls) == 1
-            calls.clear()
+            assert shapes == [(n,)]  # both sides at once
+            shapes.clear()
+
+
+class TestThresholdBoundaries:
+    @pytest.mark.parametrize("delta, inside", [(3e-10, True), (3e-9, False)])
+    def test_offset_tolerance_is_1e_9(self, delta, inside):
+        # UM-UM's offset is psi_b - psi_a, so these biases sit delta off the
+        # B92 class, 3x inside or outside THETA_TOL; at 10x the tolerance
+        # either way one of the two cases flips, on the scalar and array paths.
+        alice, bob = make_modulator(UM, 0.1, 0.5), make_modulator(UM, 0.1, 0.5 + delta)
+        assert check_protocol(alice, bob, B92).feasible is inside
+        row = classify_pair(UM, UM, [0.5, 0.5 + delta])
+        assert row.b92.bias_constraint == ("any" if inside else "psi_b = psi_a + n*pi")
+
+
+# Values no kind, bias, grid, row or protocol argument may be; a 0-d and a
+# 2-D array of each.
+_JUNK = st.one_of(
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.3]).flatmap(
+        lambda x: st.sampled_from([x, np.array(x), np.full((2, 2), x)])
+    ),
+    st.sampled_from([np.array("B92"), np.array([["UM", "AM"]])]),
+)
+_ROW = classify_pair(UM, AM, GRID)
+_CALLS = {
+    "classify_pair": (classify_pair, (UM, AM, GRID)),
+    "compare_row_with_reference": (compare_row_with_reference, (UM, AM, _ROW, GRID)),
+    "evaluate_pair": (evaluate_pair, (UM, AM, 0.3, 0.5)),
+    "check_protocol": (
+        check_protocol, (make_modulator(UM, 0.1, 0.3), make_modulator(AM, 0.1, 0.5), B92)
+    ),
+}
+
+
+class TestJunkArguments:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_CALLS)), st.data())
+    def test_returns_or_raises_a_package_error(self, name, data):
+        fn, args = _CALLS[name]
+        junk = data.draw(st.lists(st.booleans(), min_size=len(args), max_size=len(args)))
+        args = [data.draw(_JUNK) if replace else arg for arg, replace in zip(args, junk)]
+        try:
+            fn(*args)
+        except FcqkdError:
+            pass
+
+    def test_row_must_be_a_classification_row(self):
+        with pytest.raises(InvalidParameterError, match="row must be a ClassificationRow"):
+            compare_row_with_reference(UM, AM, None, GRID)
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("pairing", ROW_ORDER, ids=lambda p: f"{p[0].value}-{p[1].value}")
+    def test_at_most_two_complex_grid_arrays(self, pairing):
+        # Each side's factors are n-vectors and every n x n test is an outer
+        # product of them, so at n = 300 neither call may trace more than
+        # two n x n complex arrays (2.88 MB); the coefficient grids took
+        # 6.13 MB (classify_pair) and 7.39 MB (compare_row_with_reference).
+        n = 300
+        grid = np.linspace(0.03, 0.5 * math.pi - 0.03, n)
+        row = classify_pair(*pairing, grid)
+        calls = (
+            lambda: classify_pair(*pairing, grid),
+            lambda: compare_row_with_reference(*pairing, row, grid),
+        )
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            for call in calls:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                assert tracemalloc.get_traced_memory()[1] - before <= 2 * 16 * n * n
+        finally:
+            if not tracing:
+                tracemalloc.stop()
