@@ -7,6 +7,13 @@ half-wave voltage) or a direct index ``m``, and its bias as exactly one of
 :class:`SessionConfig` over the parsed modulators and link, so its values
 are checked at parse time whatever the command.
 
+The text is read by :func:`_read_sections`, a strict line reader of
+``[name]`` headers, ``key = value`` or ``key: value`` lines, blank lines and
+``#``/``;`` comments (the README gives the full grammar).  A malformed line
+is an error naming its number, and so are three forms other INI readers
+accept: an indented continuation line, text after a header's ``]``, and
+``[DEFAULT]`` (an unknown section).
+
 :class:`SessionConfig` is defined here, not in :mod:`fcqkd.montecarlo`
 (which re-exports it), so that parsing and checking a configuration
 imports no numpy: only the layers that compute with arrays load it.
@@ -14,8 +21,9 @@ imports no numpy: only the layers that compute with arrays load it.
 
 from __future__ import annotations
 
-import configparser
 import math
+import os
+import re
 from dataclasses import dataclass
 
 from .errors import ConfigError, InvalidParameterError
@@ -139,90 +147,125 @@ class RunConfig:
     out_path: str | None
 
 
-def _get_float(section, key, default=None) -> float:
+# A comment starts at '#' or ';' at the start of a line or after whitespace.
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
+
+
+def _malformed(number: int, problem: str) -> ConfigError:
+    return ConfigError(f"malformed config: line {number}: {problem}")
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """INI text as {section name: {lower-cased key: value}}, in file order."""
+    sections = {}
+    keys = None
+    key_indent = None  # indent of the current section's last key line
+    for number, line in enumerate(text.split("\n"), 1):
+        if ("#" in line or ";" in line) and (comment := _COMMENT.search(line)):
+            line = line[: comment.start()]
+        body = line.strip()
+        if not body:
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key_indent is not None and indent > key_indent:
+            raise _malformed(number, "an indented continuation line")
+        end = body.rfind("]")
+        if body[0] == "[" and end > 1:
+            if end < len(body) - 1:
+                raise _malformed(number, f"text after the header {body[: end + 1]!r}")
+            name = body[1:end]
+            if name in sections:
+                raise _malformed(number, f"section [{name}] appears twice")
+            keys = sections[name] = {}
+            key_indent = None
+            continue
+        if keys is None:
+            raise _malformed(number, "a key line before the first [section] header")
+        key, sep, value = body.partition("=")
+        if not sep or ":" in key:
+            key, sep, value = body.partition(":")
+        key = key.strip().lower()
+        if not sep or not key:
+            raise _malformed(number, f"expected '[section]' or 'key = value', got {body!r}")
+        if key in keys:
+            raise _malformed(number, f"key {key!r} appears twice in [{name}]")
+        keys[key] = value.strip()
+        key_indent = indent
+    return sections
+
+
+def _get_float(name, section, key, default=None) -> float:
     if key not in section:
         if default is None:
-            raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+            raise ConfigError(f"missing key {key!r} in section [{name}]")
         return default
     try:
         return float(section[key])
     except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {section[key]!r}: not a number") from exc
+        raise ConfigError(f"[{name}] {key} = {section[key]!r}: not a number") from exc
 
 
-def _get_int(section, key, default=None) -> int:
+def _get_int(name, section, key, default=None) -> int:
     if key in section:
         try:
             return int(section[key])  # exact beyond 2**53, where floats round
         except ValueError:
             pass
-    value = _get_float(section, key, default)
+    value = _get_float(name, section, key, default)
     if not math.isfinite(value) or value != int(value):
-        raise ConfigError(f"[{section.name}] {key} must be an integer")
+        raise ConfigError(f"[{name}] {key} must be an integer")
     return int(value)
 
 
-def _parse_modulator(section) -> ModulatorSpec:
+def _parse_modulator(name, section) -> ModulatorSpec:
     if "kind" not in section:
-        raise ConfigError(f"missing key 'kind' in section [{section.name}]")
+        raise ConfigError(f"missing key 'kind' in section [{name}]")
     try:
         kind = ModulatorKind(section["kind"].strip().upper())
     except ValueError as exc:
-        raise ConfigError(
-            f"[{section.name}] kind = {section['kind']!r}: expected PM, AM or UM"
-        ) from exc
+        raise ConfigError(f"[{name}] kind = {section['kind']!r}: expected PM, AM or UM") from exc
 
     has_vrf, has_m = "v_rf_volts" in section, "m" in section
     if has_vrf == has_m:
-        raise ConfigError(
-            f"[{section.name}] needs exactly one of 'v_rf_volts' and 'm'"
-        )
+        raise ConfigError(f"[{name}] needs exactly one of 'v_rf_volts' and 'm'")
     has_vdc, has_psi = "v_dc_volts" in section, "psi" in section
     if has_vdc == has_psi:
-        raise ConfigError(
-            f"[{section.name}] needs exactly one of 'v_dc_volts' and 'psi'"
-        )
+        raise ConfigError(f"[{name}] needs exactly one of 'v_dc_volts' and 'psi'")
     if (has_vrf or has_vdc) and "v_pi_volts" not in section:
-        raise ConfigError(
-            f"[{section.name}] voltage keys require 'v_pi_volts'"
-        )
+        raise ConfigError(f"[{name}] voltage keys require 'v_pi_volts'")
 
-    v_pi = _get_float(section, "v_pi_volts", math.nan)
-    m = index_from_voltage(_get_float(section, "v_rf_volts"), v_pi) if has_vrf \
-        else _get_float(section, "m")
-    psi = bias_phase_from_voltage(_get_float(section, "v_dc_volts"), v_pi) if has_vdc \
-        else _get_float(section, "psi")
-    phi = _get_float(section, "phi", 0.0)
+    v_pi = _get_float(name, section, "v_pi_volts", math.nan)
+    m = index_from_voltage(_get_float(name, section, "v_rf_volts"), v_pi) if has_vrf \
+        else _get_float(name, section, "m")
+    psi = bias_phase_from_voltage(_get_float(name, section, "v_dc_volts"), v_pi) if has_vdc \
+        else _get_float(name, section, "psi")
+    phi = _get_float(name, section, "phi", 0.0)
     return make_modulator(kind, m, psi, phi)
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";")
-    )
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
+    if not isinstance(text, str):
+        raise ConfigError(f"config text must be a str, got {type(text).__name__}")
+    sections = _read_sections(text)
 
-    for name in parser.sections():
+    for name, keys in sections.items():
         if name not in _SECTION_KEYS:
             raise ConfigError(f"unknown section [{name}]")
-        for key in parser[name]:
+        for key in keys:
             if key not in _SECTION_KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
     for required in ("alice", "bob"):
-        if required not in parser:
+        if required not in sections:
             raise ConfigError(f"missing section [{required}]")
 
-    alice = _parse_modulator(parser["alice"])
-    bob = _parse_modulator(parser["bob"])
+    alice = _parse_modulator("alice", sections["alice"])
+    bob = _parse_modulator("bob", sections["bob"])
 
-    if "link" in parser:
-        link_section = parser["link"]
-        rf_ghz = _get_float(link_section, "rf_ghz", 15.0)
-        link_phase = _get_float(link_section, "link_phase_rad", 0.0)
-        loss = _get_float(link_section, "loss", 1.0)
+    if "link" in sections:
+        link_section = sections["link"]
+        rf_ghz = _get_float("link", link_section, "rf_ghz", 15.0)
+        link_phase = _get_float("link", link_section, "link_phase_rad", 0.0)
+        loss = _get_float("link", link_section, "loss", 1.0)
     else:
         rf_ghz, link_phase, loss = 15.0, 0.0, 1.0
     if not (rf_ghz > 0.0 and math.isfinite(math.tau * rf_ghz * 1e9)):
@@ -232,22 +275,22 @@ def parse_config(text: str) -> RunConfig:
     link = LinkSpec(rf_frequency=math.tau * rf_ghz * 1e9, link_phase=link_phase, loss=loss)
 
     sweep_start, sweep_stop, sweep_steps = 0.0, math.tau, 64
-    if "sweep" in parser:
-        sweep = parser["sweep"]
+    if "sweep" in sections:
+        sweep = sections["sweep"]
         variable = sweep.get("variable", "delta_phi").strip()
         if variable != "delta_phi":
             raise ConfigError(f"[sweep] unsupported variable {variable!r}")
-        sweep_start = _get_float(sweep, "start", 0.0)
-        sweep_stop = _get_float(sweep, "stop", math.tau)
-        sweep_steps = _get_int(sweep, "steps", 64)
+        sweep_start = _get_float("sweep", sweep, "start", 0.0)
+        sweep_stop = _get_float("sweep", sweep, "stop", math.tau)
+        sweep_steps = _get_int("sweep", sweep, "steps", 64)
         if not math.isfinite(sweep_stop - sweep_start):
             raise ConfigError("[sweep] start, stop and stop - start must be finite")
         if not 0 < sweep_steps <= MAX_SWEEP_STEPS:
             raise ConfigError(f"[sweep] steps must be in [1, {MAX_SWEEP_STEPS}]")
 
     montecarlo = None
-    if "montecarlo" in parser:
-        mc = parser["montecarlo"]
+    if "montecarlo" in sections:
+        mc = sections["montecarlo"]
         protocol = mc.get("protocol", "").strip().upper()
         if protocol not in (B92, BB84):
             raise ConfigError(
@@ -258,16 +301,16 @@ def parse_config(text: str) -> RunConfig:
             alice=alice,
             bob=bob,
             link=link,
-            mu=_get_float(mc, "mu"),
-            eta=_get_float(mc, "eta", 1.0),
-            p_dark=_get_float(mc, "p_dark", 0.0),
-            n_pulses=_get_int(mc, "n_pulses", 100_000),
-            seed=_get_int(mc, "seed", 0),
+            mu=_get_float("montecarlo", mc, "mu"),
+            eta=_get_float("montecarlo", mc, "eta", 1.0),
+            p_dark=_get_float("montecarlo", mc, "p_dark", 0.0),
+            n_pulses=_get_int("montecarlo", mc, "n_pulses", 100_000),
+            seed=_get_int("montecarlo", mc, "seed", 0),
         )
 
     out_format = out_path = None
-    if "output" in parser:
-        out = parser["output"]
+    if "output" in sections:
+        out = sections["output"]
         if "format" in out:
             out_format = out["format"].strip().lower()
             if out_format not in ("csv", "json"):
@@ -289,10 +332,15 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    # open() reads an int as a file descriptor, and closing the file closes it
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ConfigError(
+            f"config path must be a str, bytes or os.PathLike, got {type(path).__name__}"
+        )
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 

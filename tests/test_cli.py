@@ -1,5 +1,8 @@
 import argparse
+import configparser
 import dataclasses
+import gc
+import itertools
 import json
 import math
 import os
@@ -7,7 +10,9 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +32,13 @@ from fcqkd import (
     verification,
 )
 from fcqkd.cli import main
-from fcqkd.config import MAX_SWEEP_STEPS, ConfigError, default_config, parse_config
+from fcqkd.config import (
+    MAX_SWEEP_STEPS,
+    ConfigError,
+    default_config,
+    load_config,
+    parse_config,
+)
 from fcqkd.modulator import ModulatorKind
 from fcqkd.protocols import REFERENCE_TABLE
 
@@ -878,3 +889,204 @@ class TestFuzzedConfigs:
             code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+
+# --- the line reader against configparser, and junk at the config entry points
+
+def configparser_front_end(text):
+    """``parse_config`` with its text read by configparser, as it was before the reader."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    sections = {name: dict(parser[name]) for name in parser.sections()}
+    with mock.patch.object(config, "_read_sections", lambda _: sections):
+        return parse_config(text)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return ("returned", repr(parse(text)))
+    except FcqkdError as exc:
+        if str(exc).startswith("malformed config: "):
+            return ("malformed", type(exc))
+        return ("raised", type(exc), str(exc))
+
+
+# Line styles, drawn whole: one draw per line keeps the property fast.
+_PADS = ("", " ", "  ", "\t", " \t")
+_TRAILINGS = ("", " ", "\t", "\r", " \xa0")
+_COMMENTS = ("", " #", " ; pi/4", "\t# a=b: [c]", " \xa0;x #y", "  #;")  # each after whitespace
+_KEY_STYLES = st.sampled_from(tuple(itertools.product(
+    (str.lower, str.upper, str.title), _PADS, "=:", _PADS, _TRAILINGS, _COMMENTS)))
+_HEADER_STYLES = st.sampled_from(tuple(a + b for a, b in itertools.product(_TRAILINGS, _COMMENTS)))
+_FILLERS = st.sampled_from(
+    (None,) * 8 + ("", " ", "\t", " \r", "# note", "  ; k = v", "\t#[alice]", ";"))
+_MISTAKES = ("garbage", "= 1", "[]", "[alice", "m = 0.1")
+
+
+@st.composite
+def grammar_texts(draw):
+    """INI text over the reader's grammar: both delimiters, comments, blank lines,
+    key case and padding; one text in three has a repeated section or key, a key
+    line before the first header or a line with no delimiter."""
+    sections = [(name, dict(keys)) for name, keys in _BASE.items()]
+    for _ in range(draw(st.integers(0, 4))):
+        name, keys = sections[draw(st.integers(0, len(sections) - 1))]
+        key = draw(st.sampled_from(sorted(config._SECTION_KEYS[name] - {"path"})))
+        keys[key] = draw(_values(key))
+    if draw(st.integers(0, 3)) == 0:
+        sections.pop(draw(st.integers(0, len(sections) - 1)))
+    lines = []
+    indent = draw(st.sampled_from(_PADS))  # for every key line: deeper would be a continuation
+    for name, keys in sections:
+        lines.append(f"[{name}]" + draw(_HEADER_STYLES))
+        for key, value in keys.items():
+            filler = draw(_FILLERS)
+            if filler is not None:
+                lines.append(filler)
+            case, before, delimiter, after, trailing, comment = draw(_KEY_STYLES)
+            lines.append(indent + case(key) + before + delimiter + after + value + trailing + comment)
+    if lines and draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            mistake = draw(st.sampled_from(_MISTAKES))
+        elif kind == 1:
+            mistake = f"[{draw(st.sampled_from(sections))[0]}]" if sections else "[alice]"
+        else:
+            mistake = draw(st.sampled_from(lines)).strip().upper()
+        lines.insert(at, indent + mistake)
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\n\n")))
+
+
+_MODULATORS = "[alice]\nkind = UM\nm = 0.1\npsi = 0\n[bob]\nkind = PM\nm = 0.1\npsi = 0\n"
+
+
+class TestConfigReader:
+    @settings(max_examples=500, deadline=None)
+    @given(grammar_texts())
+    def test_reads_as_configparser_did(self, text):
+        assert _parse_outcome(parse_config, text) == _parse_outcome(configparser_front_end, text)
+
+    def test_default_config_reads_as_configparser_did(self):
+        assert repr(default_config()) == repr(configparser_front_end(config.DEFAULT_CONFIG))
+
+    # Where the reader and configparser part ways on purpose: each form
+    # configparser accepts and reads otherwise than it looks is an error.
+    @pytest.mark.parametrize(
+        "extra, read, expected, message",
+        [
+            # configparser appends an indented line to the value above it
+            ("[output]\npath = run\n  two.json\n", lambda cfg: cfg.out_path, "run\ntwo.json",
+             "malformed config: line 3: an indented continuation line"),
+            # configparser merges [DEFAULT] into every section
+            ("[DEFAULT]\nphi = 0.5\n", lambda cfg: cfg.bob.phi, 0.5, "unknown section [DEFAULT]"),
+            # configparser ignores text after a header's ']'
+            ("[output] format = json\npath = run.json\n", lambda cfg: cfg.out_path, "run.json",
+             "malformed config: line 1: text after the header '[output]'"),
+        ],
+        ids=["continuation", "default", "after-header"],
+    )
+    def test_deliberate_differences(self, extra, read, expected, message):
+        text = extra + _MODULATORS
+        assert read(configparser_front_end(text)) == expected
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
+
+    def test_comment_starts_at_the_first_prefix_after_whitespace(self):
+        # configparser before 3.13 reads 'a;b ;c': its search takes the first
+        # '#' after whitespace before the second ';'
+        text = _MODULATORS + "[output]\npath = a;b ;c #d\n"
+        assert parse_config(text).out_path == "a;b"
+        assert parse_config(text.replace(" ;c #d", "")).out_path == "a;b"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m = 0.1\n[alice]\n", "line 1: a key line before the first [section] header"),
+            ("[alice]\n\n# note\nkind\n", "line 4: expected '[section]' or 'key = value', got 'kind'"),
+            ("[alice]\n\x0c\nkind\n", "line 3: expected '[section]' or 'key = value', got 'kind'"),
+            ("[alice]\n[]\n", "line 2: expected '[section]' or 'key = value', got '[]'"),
+            ("[alice]\n  = UM\n", "line 2: expected '[section]' or 'key = value', got '= UM'"),
+            ("[alice]\n[bob]\n[alice]\n", "line 3: section [alice] appears twice"),
+            ("[alice]\nkind = UM\nKIND: PM\n", "line 3: key 'kind' appears twice in [alice]"),
+            ("[alice]\n  kind = UM\n   m = 0.1\n", "line 3: an indented continuation line"),
+            ("[alice]\nkind = UM\n\n\t[bob]\n", "line 4: an indented continuation line"),
+        ],
+    )
+    def test_malformed_lines_are_named(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == f"malformed config: {message}"
+
+    def test_lines_end_at_newline_only(self):
+        # str.splitlines would end a line at the U+2028 line separator too
+        text = "[alice]\nkind = UM\u2028m = 0.1\npsi = 0\n[bob]\nkind = PM\nm = 0.1\npsi = 0\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == "[alice] kind = 'UM\\u2028m = 0.1': expected PM, AM or UM"
+
+    def test_keys_are_lower_cased_and_split_at_the_first_delimiter(self):
+        cfg = parse_config(
+            "[alice]\n  KIND : UM\n  M=0.1\nPsi:0\n[bob]\n kind=PM\n m = 0.05 ; drive\n psi:\t0\n"
+            "[output]\npath = a=b:c\n"
+        )
+        assert (cfg.alice.kind, cfg.alice.m, cfg.bob.m) == (ModulatorKind.UM, 0.1, 0.05)
+        assert cfg.out_path == "a=b:c"
+        with pytest.raises(ConfigError, match="kind = 'UM = x'"):
+            parse_config("[alice]\nkind : UM = x\n[bob]\n")
+
+    def test_parse_makes_no_reference_cycles(self):
+        parse_config(config.DEFAULT_CONFIG)  # first-call caches
+        gc.collect()
+        gc.disable()
+        try:
+            parse_config(config.DEFAULT_CONFIG)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    # Junk a caller may pass by mistake: every call returns or raises a package error.
+    _JUNK = st.one_of(
+        st.text(max_size=20),
+        st.binary(max_size=8),
+        st.sampled_from([None, True, False, math.nan, 0, 1, 5, b"[alice]\n",
+                         np.array(0.5), np.array([0.5, 1.0]), config.DEFAULT_CONFIG]),
+    )
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_JUNK, st.sampled_from(("junk", "directory", "latin-1", "default")))
+    def test_entry_points_return_or_raise_a_package_error(self, tmp_path, monkeypatch,
+                                                          junk, path):
+        monkeypatch.chdir(tmp_path)  # drawn text is a path relative to here
+        (tmp_path / "latin-1").write_bytes(b"# caf\xe9\n" + config.DEFAULT_CONFIG.encode())
+        (tmp_path / "default").write_text(config.DEFAULT_CONFIG)
+        (tmp_path / "directory").mkdir(exist_ok=True)
+        for call in (lambda: parse_config(junk), lambda: load_config(junk),
+                     lambda: load_config(path if path != "junk" else junk)):
+            try:
+                assert isinstance(call(), config.RunConfig)
+            except FcqkdError:
+                pass
+
+    def test_non_str_text_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="config text must be a str, got NoneType"):
+            parse_config(None)
+        with pytest.raises(ConfigError, match="config path must be a str, bytes or os.PathLike, got int"):
+            load_config(1)  # not a file descriptor
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin-1.ini"
+    path.write_bytes(b"# caf\xe9\n" + BB84_CONFIG.encode())
+    assert main(["qkd", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: cannot read config {str(path)!r}: 'utf-8' codec can't decode byte 0xe9"
+    )
+    assert captured.err.count("\n") == 1

@@ -134,7 +134,8 @@ def test_import_and_config_parsing_load_no_numpy(tmp_path):
         "import fcqkd, fcqkd.cli\n"
         "from fcqkd.config import load_config\n"
         "assert load_config(sys.argv[1]).montecarlo is not None\n"
-        "assert 'numpy' not in sys.modules",
+        "assert 'numpy' not in sys.modules\n"
+        "assert 'configparser' not in sys.modules",
         str(path),
     )
 
