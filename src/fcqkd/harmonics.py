@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidParameterError, TruncationError
-from .link import LinkSpec, sideband_powers
-from .modulator import _COUPLING, ModulatorSpec, _is_integer
+from .link import LinkSpec, _closed_powers
+from .modulator import _COUPLING, ModulatorSpec, _is_integer, _require_instances
 
 # Highest truncation order: it bounds the transform size (at most 1024
 # samples) and the number of output rows.
@@ -188,6 +188,8 @@ def exact_tandem_spectrum(
     must stay below 1e-12 of the total, or the order is too low for the
     drives.
     """
+    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
+    _require_instances(LinkSpec, "link", link)
     order = _checked_order(order, max(alice.m, bob.m))
     theta = _phases(order)
     # the field carries the transform's 1/n; n is a power of two, so that is exact
@@ -243,7 +245,7 @@ def _error_points(
     p_small = []
     for alice, bob, link in points:
         try:
-            p_small.append(sideband_powers(alice, bob, link))
+            p_small.append(_closed_powers(alice, bob, link))
         except DegenerateConfigurationError as exc:
             raise InvalidParameterError("degenerate pairing: no first-order sidebands") from exc
     order = _checked_order(order, max(max(alice.m, bob.m) for alice, bob, _ in points))
@@ -287,4 +289,6 @@ def small_signal_error(
     Relative error is reported where the exact power exceeds 1e-9; below
     that the absolute difference is returned instead.
     """
+    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
+    _require_instances(LinkSpec, "link", link)
     return _error_points([(alice, bob, link)], order)[0]

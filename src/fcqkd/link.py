@@ -24,7 +24,14 @@ from .errors import (
     InvalidParameterError,
     PhaseUndefinedError,
 )
-from .modulator import _COUPLING, ModulatorSpec, _require_real, carrier_amplitude, sideband_factor
+from .modulator import (
+    _COUPLING,
+    ModulatorSpec,
+    _require_instances,
+    _require_real,
+    carrier_amplitude,
+    sideband_factor,
+)
 
 # The two key-distribution protocols the fringe law can carry.
 B92 = "B92"
@@ -101,6 +108,7 @@ def interference_coeffs(
     the sideband factor is kept in both, so it cancels in visibility and
     phase offset.
     """
+    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
     a, b, _, _ = _coefficients(
         (alice.kind, alice.m, cmath.exp(1j * alice.psi)),
         (bob.kind, bob.m, cmath.exp(1j * bob.psi)),
@@ -176,6 +184,13 @@ def sideband_powers(
     loss cancels.  With exactly one vanishing coefficient the fringe term
     is zero and both powers are 1/2.
     """
+    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
+    _require_instances(LinkSpec, "link", link)
+    return _closed_powers(alice, bob, link)
+
+
+def _closed_powers(alice: ModulatorSpec, bob: ModulatorSpec, link: LinkSpec) -> tuple[float, float]:
+    """:func:`sideband_powers` past its argument checks, for callers that loop over points."""
     _, _, vis, offset = _fringe(alice, bob)
     if offset is None:
         return 0.5, 0.5
@@ -197,6 +212,8 @@ def sideband_powers_direct(
     taken relative to their hypot so that no drive index overflows the
     squares.
     """
+    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
+    _require_instances(LinkSpec, "link", link)
     return _direct_powers(alice, bob, bob.phi, link)
 
 

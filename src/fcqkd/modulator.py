@@ -88,6 +88,14 @@ def _require_finite(name: str, value) -> float:
     return value
 
 
+def _require_instances(cls: type, names: str, *values) -> None:
+    """Reject ``values`` unless each is a ``cls``; ``names`` names them in the message."""
+    for value in values:
+        if not isinstance(value, cls):
+            got = ", ".join(map(repr, values))
+            raise InvalidParameterError(f"{names} must be {cls.__name__}, got {got}")
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a ``bool`` is not one."""
     if isinstance(value, int):

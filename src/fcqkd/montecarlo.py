@@ -61,7 +61,7 @@ import numpy as np
 from .config import MAX_PULSES, SessionConfig
 from .errors import InfeasibleProtocolError, InvalidParameterError
 from .link import B92, BB84, _fringe, _fringe_powers
-from .modulator import _require_finite
+from .modulator import _require_finite, _require_instances
 from .protocols import CANONICAL_PHASES, check_protocol
 
 # Indices into CANONICAL_PHASES.  BB84: Alice's row k encodes basis k % 2
@@ -184,6 +184,7 @@ def _tally(protocol: str, cells: list) -> list:
 
 def expected_counts(cfg: SessionConfig, phase_error: float = 0.0) -> tuple[float, float, float]:
     """Expected (conclusive, sifted, errors) counts of a session."""
+    _require_instances(SessionConfig, "cfg", cfg)
     phase_error = _require_finite("phase_error", phase_error)
     n = cfg.n_pulses
     conclusive, sifted, errors, _, _ = _tally(
@@ -204,6 +205,7 @@ def _draw(cfg: SessionConfig, fringe: tuple, phase_error: float, seed: int) -> S
 
 def run_session(cfg: SessionConfig, phase_error: float = 0.0) -> SessionStats:
     """Simulate one key-exchange session; deterministic for a given seed."""
+    _require_instances(SessionConfig, "cfg", cfg)
     phase_error = _require_finite("phase_error", phase_error)
     return _draw(cfg, _pairing(cfg), phase_error, cfg.seed)
 
@@ -221,6 +223,7 @@ def qber_vs_offset(cfg: SessionConfig, offsets: list[float]) -> list[tuple[float
     double-click discarding and matched bases, the expected BB84 error
     rate is sin^2(offset / 2).
     """
+    _require_instances(SessionConfig, "cfg", cfg)
     try:
         indexed = enumerate(offsets)
     except TypeError:

@@ -18,11 +18,11 @@ Each side's values are evaluated once per distinct bias: the grid biases
 t, t + 1e-6 (just off a dead locus) and t plus each of the ten family
 angles; at the angles themselves they are module constants.  The n x n
 bias grid is then one outer product of two n-vectors per protocol, and
-the candidate families' (t, n) lattices are three blocks of products of
-the same vectors.  Every reported number comes from the scalar evaluation
-at its point.  :func:`compare_row_with_reference` checks a row, from the
-same per-side values, against the hand-derived closed forms of
-``REFERENCE_TABLE``, as the ``table2`` command and the acceptance suite do.
+each candidate family is tested in turn on its (t, n) lattice, a product
+of the same vectors.  Every reported number comes from the scalar
+evaluation at its point.  :func:`compare_row_with_reference` checks a
+row, from the same per-side values, against the hand-derived closed forms
+of ``REFERENCE_TABLE``, as the ``table2`` command and the acceptance suite do.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .modulator import (
     ModulatorSpec,
     _coupling,
     _require_finite,
+    _require_instances,
     carrier_amplitude,
     sideband_factor,
 )
@@ -124,8 +125,7 @@ def _in_class(coeffs, shift: float, tol: float = THETA_TOL):
 def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> ProtocolFeasibility:
     """Verdict for ``protocol`` at the given biases; the drive indices are free."""
     shift = _required_shift(protocol)
-    if not (isinstance(alice, ModulatorSpec) and isinstance(bob, ModulatorSpec)):
-        raise InvalidParameterError(f"alice and bob must be ModulatorSpec, got {alice!r}, {bob!r}")
+    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
     a, b, a_zero, b_zero = coeffs = _coeffs_at(alice.kind, bob.kind, alice.psi, bob.psi)
     if _in_class(coeffs, shift):
         return ProtocolFeasibility(protocol, True, "as-configured", abs(b) / abs(a), "none")
@@ -137,13 +137,11 @@ def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> P
 #
 # Candidate bias families probed by classify_pair, in order of preference,
 # then the two loci where a coefficient may die.  Each fixes one bias, or
-# Bob's offset from Alice's, to one of ten angles (n*pi, then (2n+1)*pi/2,
-# for n in _N_RANGE) and leaves the other bias t free.  Its (t, n) lattice
-# is one half of one block: block 0 puts the angle on Alice's side, block 1
-# on Bob's, block 2 between them.
+# Bob's offset from Alice's, to one of five angles (n*pi or (2n+1)*pi/2,
+# for n in _N_RANGE) and leaves the other bias t free.
 
 _N_RANGE = np.arange(-2, 3)
-_ANGLES = np.concatenate((_N_RANGE * math.pi, (2 * _N_RANGE + 1) * 0.5 * math.pi))
+_ANGLES = np.concatenate((_N_RANGE * math.pi, (_N_RANGE + 0.5) * math.pi))
 # A dead locus is probed this far off it, at this looser offset tolerance.
 _NUDGE = 1e-6
 _NUDGE_TOL = 1e-3
@@ -151,22 +149,20 @@ _NUDGE_TOL = 1e-3
 
 class _Family(NamedTuple):
     label: str
-    block: int
-    half: int  # 0: the angles n*pi, 1: the angles (2n+1)*pi/2
-
-    def point(self, t, n):
-        """(psi_a, psi_b) at free bias t and integer n."""
-        angle = _ANGLES[5 * self.half + n + 2]
-        return ((angle, t), (t, angle), (t, t + angle))[self.block]
+    alice: str  # where Alice's bias sits: t, or at "pi" (n*pi) or "half" ((2n+1)*pi/2)
+    bob: str  # where Bob's sits: those, or t plus an angle ("t+pi", "t+half")
+    point: Callable[[float, int], tuple[float, float]]  # (psi_a, psi_b) at t and n
 
 
 _FAMILIES = (
-    _Family("psi_a = n*pi", 0, 0),
-    _Family("psi_b = n*pi", 1, 0),
-    _Family("psi_b = psi_a + n*pi", 2, 0),
-    _Family("psi_b = psi_a + (2n+1)*pi/2", 2, 1),
-    _Family("psi_a = (2n+1)*pi/2", 0, 1),
-    _Family("psi_b = (2n+1)*pi/2", 1, 1),
+    _Family("psi_a = n*pi", "pi", "t", lambda t, n: (n * math.pi, t)),
+    _Family("psi_b = n*pi", "t", "pi", lambda t, n: (t, n * math.pi)),
+    _Family("psi_b = psi_a + n*pi", "t", "t+pi", lambda t, n: (t, t + n * math.pi)),
+    _Family(
+        "psi_b = psi_a + (2n+1)*pi/2", "t", "t+half", lambda t, n: (t, t + (n + 0.5) * math.pi)
+    ),
+    _Family("psi_a = (2n+1)*pi/2", "half", "t", lambda t, n: ((n + 0.5) * math.pi, t)),
+    _Family("psi_b = (2n+1)*pi/2", "t", "half", lambda t, n: (t, (n + 0.5) * math.pi)),
 )
 _FEASIBLE_FAMILIES, _ZERO_VIS_FAMILIES = _FAMILIES[:4], _FAMILIES[4:]
 # Where the reference check samples each feasible constraint, at free bias t.
@@ -222,6 +218,18 @@ _PAIR_COUPLING = {
 # Offsets from the grid bias t of the columns each call evaluates: t, the
 # nudged t, then t plus each angle.
 _OFFSETS = np.concatenate(([0.0, _NUDGE], _ANGLES))
+# A side's values by (where, nudged), as (source, index) into the call's
+# columns of _OFFSETS (source 0) or the kind's angle constants (source 1):
+# (n, 1) and (n, 5) columns and rows of five, which broadcast to (t, n).
+_WHERE = {
+    ("t", False): (0, np.s_[:, :1]),
+    ("t", True): (0, np.s_[:, 1:2]),
+    ("t+pi", False): (0, np.s_[:, 2:7]),
+    ("t+half", False): (0, np.s_[:, 7:]),
+    ("pi", False): (1, np.s_[:5]),
+    ("half", False): (1, np.s_[5:10]),
+    ("half", True): (1, np.s_[10:]),
+}
 
 
 def _near_class(z: np.ndarray, tol: float) -> np.ndarray:
@@ -232,44 +240,15 @@ def _near_class(z: np.ndarray, tol: float) -> np.ndarray:
     return parts[..., 1::2] <= re
 
 
-def _zero_anywhere(carrier_min, sideband_min, bounds) -> bool:
-    """Whether the zero rule holds anywhere on a grid of (psi_a, psi_b).
+def _zero(alice: tuple, bob: tuple, bounds: tuple[float, float]):
+    """The zero rule over two broadcast sides: where |a| or |b| is at most its bound.
 
-    ``carrier_min`` and ``sideband_min`` are the least |C| and |S| of
-    (Alice's, Bob's) side.  Rounding is monotonic, so the least product of
+    On sides of the least |C| and |S| it tells whether the rule holds
+    anywhere on their grid: rounding is monotonic, so the least product of
     non-negative factors is the product of the least factors.
     """
-    (c_a, c_b), (s_a, s_b) = carrier_min, sideband_min
-    return s_a * c_b <= bounds[0] or c_a * s_b <= bounds[1]
-
-
-def _blocks(alice: tuple, bob: tuple) -> np.ndarray:
-    """Alice's values times Bob's over the lattice blocks: (blocks, n, angles).
-
-    ``alice`` is (values at t, at the angles); ``bob`` is the same and, for
-    a third block, its values at t + each angle.
-    """
-    a_t, a_angle = alice
-    b_t, b_angle, *b_offset = bob
-    out = np.empty((2 + len(b_offset), a_t.size, a_angle.size), np.result_type(a_t, b_t))
-    np.multiply(a_angle, b_t[:, None], out=out[0])
-    np.multiply(a_t[:, None], b_angle, out=out[1])
-    if b_offset:
-        np.multiply(a_t[:, None], b_offset[0], out=out[2])
-    return out
-
-
-def _zero_blocks(alice: tuple, bob: tuple, bounds: tuple[float, float]) -> np.ndarray:
-    """Where either coefficient is zero over the lattice blocks of two sides."""
-    zero = _blocks([s for _, _, s in alice], [c for _, c, _ in bob]) <= bounds[0]
-    zero |= _blocks([c for _, c, _ in alice], [s for _, _, s in bob]) <= bounds[1]
-    return zero
-
-
-def _near_blocks(alice: tuple, bob: tuple, shift: float, tol: float) -> np.ndarray:
-    """Whether the offset is within ``tol`` of ``shift`` mod pi over the lattice blocks."""
-    rotation = cmath.exp(-1j * shift)
-    return _near_class(_blocks([f * rotation for f, _, _ in alice], [f for f, _, _ in bob]), tol)
+    (_, c_a, s_a), (_, c_b, s_b) = alice, bob
+    return (s_a * c_b <= bounds[0]) | (c_a * s_b <= bounds[1])
 
 
 def _bias_grid(psi_grid) -> np.ndarray:
@@ -309,54 +288,44 @@ def classify_pair(
     bob = _factors(_COUPLING[bob_kind], u)
     del u
     np.conjugate(bob[0], out=bob[0])
-    alice_angles, bob_angles = _ANGLE_SIDES[alice_kind][0], _ANGLE_SIDES[bob_kind][1]
+    sources = ((alice, _ANGLE_SIDES[alice_kind][0]), (bob, _ANGLE_SIDES[bob_kind][1]))
     alice_t, bob_t = _at(alice, np.s_[:, 0]), _at(bob, np.s_[:, 0])
-    lattice = (
-        (alice_t, _at(alice_angles, np.s_[:10])),
-        (bob_t, _at(bob_angles, np.s_[:10]), _at(bob, np.s_[:, 2:])),
-    )
-    # the two zero-visibility families (second halves of blocks 0 and 1), nudged
-    nudged = (
-        (_at(alice, np.s_[:, 1]), _at(alice_angles, np.s_[10:])),
-        (_at(bob, np.s_[:, 1]), _at(bob_angles, np.s_[10:])),
-    )
-    zero_on_grid = _zero_anywhere(
-        (alice_t[1].min(), bob_t[1].min()), (alice_t[2].min(), bob_t[2].min()), bounds
-    )
-    zero = _zero_blocks(*lattice, bounds)
-    dead = zero[:2, :, 5:].all(axis=(1, 2))
+    zero_on_grid = _zero(*[(None, c.min(), s.min()) for _, c, s in (alice_t, bob_t)], bounds)
+
+    def lattice(family: _Family, nudged: bool) -> tuple[tuple, tuple]:
+        """Alice's and Bob's values on ``family``'s (t, n) lattice, as broadcast sides."""
+        (i, a_key), (j, b_key) = _WHERE[family.alice, nudged], _WHERE[family.bob, nudged]
+        return _at(sources[0][i], a_key), _at(sources[1][j], b_key)
+
+    def passes(family: _Family, rotation: complex, nudged: bool, tol: float) -> bool:
+        """Offset in class on the whole lattice and, tested only then, no coefficient zero."""
+        a, b = lattice(family, nudged)
+        return _near_class((a[0] * rotation) * b[0], tol).all() and not _zero(a, b, bounds).any()
 
     def verdict(protocol: str) -> ProtocolFeasibility:
-        shift = _required_shift(protocol)
+        rotation = cmath.exp(-1j * _required_shift(protocol))
         # The whole grid first, then each feasible family in order.
         if not zero_on_grid:
             # an outer product as a matmul: a broadcast product would also
             # allocate iteration buffers the size of the grid
-            z = (alice_t[0] * cmath.exp(-1j * shift))[:, None] @ bob_t[0][None, :]
+            z = (alice_t[0] * rotation)[:, None] @ bob_t[0][None, :]
             if _near_class(z, THETA_TOL).all():
                 i, j = divmod(n * n // 3, n)
                 _, ratio = evaluate_pair(alice_kind, bob_kind, psi[i], psi[j])
                 return ProtocolFeasibility(protocol, True, "any", ratio, "none")
             del z
-        in_class = _near_blocks(*lattice, shift, THETA_TOL)
-        in_class &= ~zero
-        in_class = in_class.reshape(3, n, 2, 5).all(axis=(1, 3))
         for family in _FEASIBLE_FAMILIES:
-            if in_class[family.block, family.half]:
+            if passes(family, rotation, False, THETA_TOL):
                 i, k = divmod(5 * n // 3, 5)
                 _, ratio = evaluate_pair(alice_kind, bob_kind, *family.point(psi[i], k - 2))
                 return ProtocolFeasibility(protocol, True, family.label, ratio, "none")
         # Infeasible: the phase-offset condition is unreachable outright, or
         # reachable only on a bias locus where a coefficient dies.  Just off
         # a dead locus the offset must approach the required class.
-        if dead.any():
-            near = _near_blocks(*nudged, shift, _NUDGE_TOL)
-            near &= ~_zero_blocks(*nudged, bounds)
-            for family, is_dead, ok in zip(_ZERO_VIS_FAMILIES, dead, near.all(axis=(1, 2))):
-                if is_dead and ok:
-                    return ProtocolFeasibility(
-                        protocol, False, family.label, None, "zero-visibility"
-                    )
+        for family in _ZERO_VIS_FAMILIES:
+            dead = _zero(*lattice(family, False), bounds).all()
+            if dead and passes(family, rotation, True, _NUDGE_TOL):
+                return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
         return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
 
     ref_bias = (float(psi[n // 3]), float(psi[(2 * n) // 3]))
@@ -544,11 +513,8 @@ def compare_row_with_reference(
     u = np.exp(1j * psi)
     f, c, s = _factors(_PAIR_COUPLING[alice_kind, bob_kind], u)  # rows: Alice, Bob
     bounds = (_ZERO_BOUND[alice_kind], _ZERO_BOUND[bob_kind])
-    if _zero_anywhere(c.min(axis=1).tolist(), s.min(axis=1).tolist(), bounds):
-        null = np.flatnonzero(
-            (np.multiply.outer(s[0], c[1]) <= bounds[0])
-            | (np.multiply.outer(c[0], s[1]) <= bounds[1])
-        )
+    if _zero(*[(None, c_k.min(), s_k.min()) for c_k, s_k in zip(c, s)], bounds):
+        null = np.flatnonzero(_zero(_at((f, c, s), np.s_[0, :, None]), _at((f, c, s), 1), bounds))
         i, j = divmod(null[0], n)
         raise _null_error(alice_kind, bob_kind, psi[i], psi[j])
     # |b| / |a| = (|C_A| / |S_A|) (|S_B| / |C_B|), over the reference's ratio

@@ -487,10 +487,27 @@ _PRINCIPAL_GRID = st.lists(st.floats(0.1, 0.9), min_size=1, max_size=40).map(
     ]
 )
 
+# Grids near the dead loci: biases 10^k off an odd multiple of pi/2, k in
+# [-7, -2], mixed with generic ones.  They reach the nudged test and the
+# dead-locus verdicts on every pairing that has a dead locus (all but PM-PM).
+_NEAR_NULL_GRID = st.lists(
+    st.one_of(
+        st.builds(
+            lambda n, sign, k: (2 * n + 1) * 0.5 * math.pi + sign * 10.0**k,
+            st.integers(-2, 1),
+            st.sampled_from([-1.0, 1.0]),
+            st.floats(-7.0, -2.0),
+        ),
+        _BIAS,
+    ),
+    min_size=1,
+    max_size=40,
+)
+
 
 class TestStackedEvaluation:
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(ROW_ORDER), st.one_of(_ANY_GRID, _PRINCIPAL_GRID))
+    @given(st.sampled_from(ROW_ORDER), st.one_of(_ANY_GRID, _PRINCIPAL_GRID, _NEAR_NULL_GRID))
     def test_matches_the_per_candidate_classifier(self, pairing, grid):
         alice_kind, bob_kind = pairing
         expected = _outcome(reference_classify_pair, alice_kind, bob_kind, grid)

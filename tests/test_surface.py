@@ -6,11 +6,15 @@ import importlib
 import inspect
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fcqkd
 from fcqkd import cli, config
@@ -109,6 +113,70 @@ def test_output_lands_in_a_redirected_stdout(capsys, argv):
         assert text.count("\n") > 1 and text.endswith("\n")
     else:
         json.loads(text)
+
+
+# --- typed errors at every public callable
+
+_ALICE = fcqkd.make_modulator(fcqkd.ModulatorKind.UM, 0.1)
+_BOB = fcqkd.make_modulator(fcqkd.ModulatorKind.PM, 0.05)
+_LINK = fcqkd.LinkSpec(rf_frequency=1.0, link_phase=0.3)
+_CFG = fcqkd.SessionConfig(fcqkd.B92, _ALICE, _BOB, _LINK, 0.1, n_pulses=1000)
+# Arguments on which each callable returns; a drawn subset is replaced by junk.
+_VALID_ARGS = {
+    "LinkSpec": (1.0, 0.3, 0.5),
+    "ModulatorSpec": (fcqkd.ModulatorKind.UM, 0.1, 0.2, 0.3),
+    "SessionConfig": (fcqkd.B92, _ALICE, _BOB, _LINK, 0.1, 1.0, 0.0, 1000, 7),
+    "bias_phase_from_voltage": (1.0, 3.0),
+    "classify_pair": (fcqkd.ModulatorKind.UM, fcqkd.ModulatorKind.AM, [0.3, 0.5]),
+    "exact_tandem_spectrum": (_ALICE, _BOB, _LINK, 11),
+    "expected_counts": (_CFG, 0.1),
+    "index_from_voltage": (1.0, 3.0),
+    "interference_coeffs": (_ALICE, _BOB),
+    "make_modulator": (fcqkd.ModulatorKind.UM, 0.1, 0.2, 0.3),
+    "qber_vs_offset": (_CFG, [0.0, 0.5]),
+    "run_session": (_CFG, 0.1),
+    "sideband_powers": (_ALICE, _BOB, _LINK),
+    "sideband_powers_direct": (_ALICE, _BOB, _LINK),
+    "small_signal_error": (_ALICE, _BOB, _LINK, 11),
+}
+# str, None, bool, non-finite and huge floats, numpy scalars, 0-d and 2-element arrays
+_JUNK = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from([None, True, False, math.nan, math.inf, -math.inf, 1e308, -1e308]),
+    st.sampled_from([np.float64(0.3), np.float32(-2.5), np.int64(2), np.bool_(True)]),
+    st.floats(-10.0, 10.0).map(np.array),
+    st.floats(-10.0, 10.0).map(lambda x: np.array([x, -x])),
+)
+
+
+def test_every_public_callable_has_valid_arguments():
+    # Left out: the exception classes, whose constructors take any message and
+    # check nothing, and the ModulatorKind enum, whose lookup by value raises
+    # the Enum protocol's ValueError (the config reader turns that into a
+    # ConfigError).  B92 and BB84 are strings.
+    public = {name: getattr(fcqkd, name) for name in fcqkd.__all__}
+    callables = {
+        name
+        for name, value in public.items()
+        if callable(value)
+        and not (inspect.isclass(value) and issubclass(value, Exception))
+        and name != "ModulatorKind"
+    }
+    assert callables == set(_VALID_ARGS)
+    for name, args in _VALID_ARGS.items():
+        getattr(fcqkd, name)(*args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_VALID_ARGS)), st.data())
+def test_public_callables_return_or_raise_a_package_error(name, data):
+    args = _VALID_ARGS[name]
+    junk = data.draw(st.lists(st.booleans(), min_size=len(args), max_size=len(args)))
+    args = [data.draw(_JUNK) if replace else arg for arg, replace in zip(args, junk)]
+    try:
+        getattr(fcqkd, name)(*args)
+    except fcqkd.FcqkdError:
+        pass
 
 
 # --- the import contract: only the layers that compute with arrays load numpy
