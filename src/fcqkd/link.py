@@ -24,14 +24,7 @@ from .errors import (
     InvalidParameterError,
     PhaseUndefinedError,
 )
-from .modulator import (
-    _COUPLING,
-    ModulatorSpec,
-    _require_instances,
-    _require_real,
-    carrier_amplitude,
-    sideband_factor,
-)
+from .modulator import ModulatorSpec, _require_instances, _require_real, _side
 
 # The two key-distribution protocols the fringe law can carry.
 B92 = "B92"
@@ -74,26 +67,27 @@ def _no_sideband_light() -> DegenerateConfigurationError:
     )
 
 
+def _not_coefficients(alice_coeff, bob_coeff) -> InvalidParameterError:
+    """The error of coefficients that are not complex numbers."""
+    return InvalidParameterError(
+        f"interference coefficients must be complex numbers, got {alice_coeff!r}, {bob_coeff!r}"
+    )
+
+
 def _coefficients(alice: tuple, bob: tuple) -> tuple[complex, complex, bool, bool]:
     """Interference coefficients and zero flags of two (kind, m, e^{j psi}) sides.
 
-    The closed form of every pairing: a kind picks the couplings and the
-    arm-2 share of the drive index m from the coupling table.  Arrays of
-    bias phasors give arrays.  A coefficient is treated as an analytic zero
-    when it is below ``_ZERO_RTOL`` of its a-priori scale |carrier| * |sideband| <=
-    (eps1 m1 + eps2 m2) / 2 (the couplings sum to 1): biases like pi/2 land
-    within one ulp of the exact null, where the value carries no phase
-    information.
+    The closed form of every pairing, a = C_B S_A and b = C_A S_B from each
+    side's (C, S, scale) (:func:`modulator._side`); arrays of bias phasors
+    give arrays.  A coefficient below ``_ZERO_RTOL`` of its sideband's scale
+    is an analytic zero: biases like pi/2 land within one ulp of the exact
+    null, where the value carries no phase information.
     """
-    a_kind, a_m, a_u = alice
-    b_kind, b_m, b_u = bob
-    a_eps1, a_eps2, a_share = _COUPLING[a_kind]
-    b_eps1, b_eps2, b_share = _COUPLING[b_kind]
-    a_m2, b_m2 = a_share * a_m, b_share * b_m
-    a = carrier_amplitude(b_eps1, b_eps2, b_u) * sideband_factor(a_eps1, a_eps2, a_m, a_m2, a_u)
-    b = carrier_amplitude(a_eps1, a_eps2, a_u) * sideband_factor(b_eps1, b_eps2, b_m, b_m2, b_u)
-    scale_a = 0.5 * (a_eps1 * a_m + a_eps2 * a_m2)
-    scale_b = 0.5 * (b_eps1 * b_m + b_eps2 * b_m2)
+    (a_kind, a_m, a_u), (b_kind, b_m, b_u) = alice, bob
+    c_a, s_a, scale_a = _side(a_kind, a_m, a_u)
+    c_b, s_b, scale_b = _side(b_kind, b_m, b_u)
+    a = c_b * s_a
+    b = c_a * s_b
     return a, b, abs(a) <= _ZERO_RTOL * scale_a, abs(b) <= _ZERO_RTOL * scale_b
 
 
@@ -103,10 +97,9 @@ def interference_coeffs(
     """Complex weights of the two interfering sideband contributions.
 
     Returns ``(alice_coeff, bob_coeff)``: Alice's sideband factor times
-    Bob's carrier, and Bob's sideband factor times Alice's carrier, at the
-    couplings of each kind's row of the coupling table.  The common j/2 of
-    the sideband factor is kept in both, so it cancels in visibility and
-    phase offset.
+    Bob's carrier, and Bob's sideband factor times Alice's carrier.  The
+    common j/2 of the sideband factor is kept in both, so it cancels in
+    visibility and phase offset.
     """
     _require_instances(ModulatorSpec, "alice and bob", alice, bob)
     a, b, _, _ = _coefficients(
@@ -127,22 +120,28 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
     under 1, past its 1.5-ulp rounding, and a scan of every k in between
     found none above 1.
     """
-    a = abs(alice_coeff)
-    b = abs(bob_coeff)
-    low, high = (a, b) if a <= b else (b, a)
-    if high == 0.0:
-        raise _no_sideband_light()
-    r = low / high
+    try:
+        a = abs(alice_coeff)
+        b = abs(bob_coeff)
+        low, high = (a, b) if a <= b else (b, a)
+        if high == 0.0:
+            raise _no_sideband_light()
+        r = low / high
+    except (TypeError, ValueError, OverflowError):
+        raise _not_coefficients(alice_coeff, bob_coeff) from None
     return 2.0 * r / (1.0 + r * r)
 
 
 def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
     """Intrinsic fringe phase arg(bob_coeff) - arg(alice_coeff) in (-pi, pi]."""
-    if abs(alice_coeff) == 0.0 or abs(bob_coeff) == 0.0:
-        raise PhaseUndefinedError(
-            "phase offset undefined: an interference coefficient is zero"
-        )
-    wrapped = math.remainder(cmath.phase(bob_coeff) - cmath.phase(alice_coeff), math.tau)
+    try:
+        if abs(alice_coeff) == 0.0 or abs(bob_coeff) == 0.0:
+            raise PhaseUndefinedError(
+                "phase offset undefined: an interference coefficient is zero"
+            )
+        wrapped = math.remainder(cmath.phase(bob_coeff) - cmath.phase(alice_coeff), math.tau)
+    except (TypeError, ValueError, OverflowError):
+        raise _not_coefficients(alice_coeff, bob_coeff) from None
     return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 
@@ -227,14 +226,8 @@ def _direct_powers(
     conjugate); Bob multiplies, and the second-order products of sidebands
     are dropped.
     """
-    a_u = cmath.exp(1j * alice.psi)
-    b_u = cmath.exp(1j * bob.psi)
-    a_eps1, a_eps2, a_share = _COUPLING[alice.kind]
-    b_eps1, b_eps2, b_share = _COUPLING[bob.kind]
-    a_side = sideband_factor(a_eps1, a_eps2, alice.m, a_share * alice.m, a_u)
-    b_side = sideband_factor(b_eps1, b_eps2, bob.m, b_share * bob.m, b_u)
-    a_carrier = carrier_amplitude(a_eps1, a_eps2, a_u)
-    b_carrier = carrier_amplitude(b_eps1, b_eps2, b_u)
+    a_carrier, a_side, _ = _side(alice.kind, alice.m, cmath.exp(1j * alice.psi))
+    b_carrier, b_side, _ = _side(bob.kind, bob.m, cmath.exp(1j * bob.psi))
     a_upper = a_side * cmath.exp(1j * alice.phi)
     b_upper = b_side * cmath.exp(1j * bob_phi)
     scale = math.hypot(abs(b_carrier) * abs(a_upper), abs(a_carrier) * abs(b_upper))

@@ -52,12 +52,13 @@ _COUPLING = {
 }
 
 
-def _coupling(kind: ModulatorKind) -> tuple[float, float, float]:
-    """The coupling-table entry of ``kind``; rejects unknown kinds, unhashable ones too."""
-    try:
-        return _COUPLING[kind]
-    except (KeyError, TypeError):
-        raise InvalidParameterError(f"unknown modulator kind {kind!r}") from None
+def _require_kinds(*kinds) -> None:
+    """Reject any of ``kinds`` that the coupling table lacks, unhashable ones too."""
+    for kind in kinds:
+        try:
+            _COUPLING[kind]
+        except (KeyError, TypeError):
+            raise InvalidParameterError(f"unknown modulator kind {kind!r}") from None
 
 
 def _require_real(name: str, value) -> float:
@@ -119,7 +120,7 @@ class ModulatorSpec:
     phi: float = 0.0
 
     def __post_init__(self):
-        _coupling(self.kind)
+        _require_kinds(self.kind)
         for name in ("m", "psi", "phi"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.m < 0:
@@ -161,15 +162,18 @@ def bias_phase_from_voltage(v_dc: float, v_pi: float) -> float:
     return math.pi * v_dc / (2.0 * v_pi)
 
 
-def carrier_amplitude(eps1: float, eps2: float, u):
-    """Carrier transmission eps1*u + eps2*conj(u); u = e^{j psi}, a number or an array."""
-    return eps1 * u + eps2 * u.conjugate()
+def _side(kind: ModulatorKind, m: float, u):
+    """(C, S, scale) of one modulator at drive index ``m``; u = e^{j psi}, a number or an array.
 
-
-def sideband_factor(eps1: float, eps2: float, m1: float, m2: float, u):
-    """First-order sideband amplitude (j/2)(eps1 m1 u - eps2 m2 conj(u)), u = e^{j psi}.
-
-    The RF phase is not included; the upper/lower sidebands carry an extra
-    exp(+/-j phi) on top of this factor.
+    C = eps1 u + eps2 conj(u) is the carrier transmission and S = (j/2)(eps1
+    m u - eps2 m2 conj(u)), m2 the kind's share of m, the first-order
+    sideband factor (the sidebands carry exp(+/-j phi) on top).  scale =
+    (eps1 m + eps2 m2) / 2 bounds |S|, and |C| <= 1 (the couplings sum to
+    1): the zero rule measures this side's sideband coefficient against it.
     """
-    return 0.5j * (eps1 * m1 * u - eps2 * m2 * u.conjugate())
+    eps1, eps2, share = _COUPLING[kind]
+    m2 = share * m
+    v = u.conjugate()
+    carrier = eps1 * u + eps2 * v
+    sideband = 0.5j * (eps1 * m * u - eps2 * m2 * v)
+    return carrier, sideband, 0.5 * (eps1 * m + eps2 * m2)

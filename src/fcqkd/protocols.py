@@ -37,14 +37,12 @@ import numpy as np
 from .errors import InvalidParameterError, PhaseUndefinedError
 from .link import _ZERO_RTOL, B92, BB84, _coefficients, phase_offset
 from .modulator import (
-    _COUPLING,
     ModulatorKind,
     ModulatorSpec,
-    _coupling,
     _require_finite,
     _require_instances,
-    carrier_amplitude,
-    sideband_factor,
+    _require_kinds,
+    _side,
 )
 
 THETA_TOL = 1e-9
@@ -95,20 +93,11 @@ def _required_shift(protocol: str) -> float:
     raise InvalidParameterError(f"unknown protocol {protocol!r}, expected B92 or BB84")
 
 
-def _check_kinds(alice_kind, bob_kind) -> None:
-    """Reject an unknown kind on either side with :class:`InvalidParameterError`."""
-    _coupling(alice_kind)
-    _coupling(bob_kind)
-
-
-def _unit_coeffs(alice_kind, bob_kind, u_a, u_b):
-    """Coefficients and zero flags at unit drive index for bias phasors e^{j psi}."""
-    return _coefficients((alice_kind, 1.0, u_a), (bob_kind, 1.0, u_b))
-
-
 def _coeffs_at(alice_kind, bob_kind, psi_a: float, psi_b: float):
     """Scalar coefficients at one bias pair; every reported number comes from here."""
-    return _unit_coeffs(alice_kind, bob_kind, cmath.exp(1j * psi_a), cmath.exp(1j * psi_b))
+    return _coefficients(
+        (alice_kind, 1.0, cmath.exp(1j * psi_a)), (bob_kind, 1.0, cmath.exp(1j * psi_b))
+    )
 
 
 def _in_class(coeffs, shift: float, tol: float = THETA_TOL):
@@ -179,15 +168,9 @@ _SAMPLE_POINTS["any"] = lambda t, n: (t, t * 0.8 + 0.1)
 # F for Alice, conj(F) for Bob.
 
 
-def _factors(coupling, u) -> tuple:
-    """(C conj(S), |C|, |S|) at unit drive index for bias phasors u.
-
-    ``coupling`` is a kind's (eps1, eps2, share), as numbers or as arrays
-    that broadcast against u.
-    """
-    eps1, eps2, share = coupling
-    c = carrier_amplitude(eps1, eps2, u)
-    s = sideband_factor(eps1, eps2, 1.0, share, u)
+def _factors(kind: ModulatorKind, u) -> tuple:
+    """(C conj(S), |C|, |S|) of ``kind`` at unit drive index for bias phasors u."""
+    c, s, _ = _side(kind, 1.0, u)
     return c * s.conjugate(), np.abs(c), np.abs(s)
 
 
@@ -199,22 +182,13 @@ def _at(side: tuple, key) -> tuple:
 def _angle_sides(kind: ModulatorKind) -> tuple[tuple, tuple]:
     """Alice's and Bob's side of ``kind`` at the ten angles, then at the last five nudged."""
     angles = np.concatenate((_ANGLES, _ANGLES[5:] + _NUDGE))
-    f, c, s = _factors(_COUPLING[kind], np.exp(1j * angles))
+    f, c, s = _factors(kind, np.exp(1j * angles))
     return (f, c, s), (f.conjugate(), c, s)
 
 
 _ANGLE_SIDES = {kind: _angle_sides(kind) for kind in ModulatorKind}
 # The zero rule's bound on |a| (Alice's kind) or |b| (Bob's kind), at unit drive.
-_ZERO_BOUND = {
-    kind: _ZERO_RTOL * (0.5 * (eps1 * 1.0 + eps2 * share))
-    for kind, (eps1, eps2, share) in _COUPLING.items()
-}
-# Both kinds' couplings as (2, 1) columns, Alice's row first.
-_PAIR_COUPLING = {
-    (a, b): tuple(np.array(pair)[:, None] for pair in zip(_COUPLING[a], _COUPLING[b]))
-    for a in ModulatorKind
-    for b in ModulatorKind
-}
+_ZERO_BOUND = {kind: _ZERO_RTOL * _side(kind, 1.0, 1.0)[2] for kind in ModulatorKind}
 # Offsets from the grid bias t of the columns each call evaluates: t, the
 # nudged t, then t plus each angle.
 _OFFSETS = np.concatenate(([0.0, _NUDGE], _ANGLES))
@@ -278,14 +252,14 @@ def classify_pair(
     coefficients; the canonical labels come from the reference table for
     readability only.
     """
-    _check_kinds(alice_kind, bob_kind)
+    _require_kinds(alice_kind, bob_kind)
     psi = _bias_grid(psi_grid)
     n = psi.size
     bounds = (_ZERO_BOUND[alice_kind], _ZERO_BOUND[bob_kind])
     # Alice's side in the columns of _OFFSETS she needs, Bob's in all of them.
     u = np.exp(1j * (psi[:, None] + _OFFSETS))
-    alice = _factors(_COUPLING[alice_kind], u[:, :2])
-    bob = _factors(_COUPLING[bob_kind], u)
+    alice = _factors(alice_kind, u[:, :2])
+    bob = _factors(bob_kind, u)
     del u
     np.conjugate(bob[0], out=bob[0])
     sources = ((alice, _ANGLE_SIDES[alice_kind][0]), (bob, _ANGLE_SIDES[bob_kind][1]))
@@ -480,7 +454,7 @@ def evaluate_pair(
 
     Raises :class:`PhaseUndefinedError` where a coefficient vanishes.
     """
-    _check_kinds(alice_kind, bob_kind)
+    _require_kinds(alice_kind, bob_kind)
     psi_a = _require_finite("psi_a", psi_a)
     psi_b = _require_finite("psi_b", psi_b)
     a, b, a_zero, b_zero = _coeffs_at(alice_kind, bob_kind, psi_a, psi_b)
@@ -503,7 +477,7 @@ def compare_row_with_reference(
     A grid or constrained point where a coefficient vanishes raises
     :class:`PhaseUndefinedError`.
     """
-    _check_kinds(alice_kind, bob_kind)
+    _require_kinds(alice_kind, bob_kind)
     if not isinstance(row, ClassificationRow):
         raise InvalidParameterError(f"row must be a ClassificationRow, got {row!r}")
     psi = _bias_grid(psi_grid)
@@ -511,21 +485,24 @@ def compare_row_with_reference(
     ref = REFERENCE_TABLE[(alice_kind, bob_kind)]
     name = f"{alice_kind.value}-{bob_kind.value}"
     u = np.exp(1j * psi)
-    f, c, s = _factors(_PAIR_COUPLING[alice_kind, bob_kind], u)  # rows: Alice, Bob
+    alice, bob = _factors(alice_kind, u), _factors(bob_kind, u)
     bounds = (_ZERO_BOUND[alice_kind], _ZERO_BOUND[bob_kind])
-    if _zero(*[(None, c_k.min(), s_k.min()) for c_k, s_k in zip(c, s)], bounds):
-        null = np.flatnonzero(_zero(_at((f, c, s), np.s_[0, :, None]), _at((f, c, s), 1), bounds))
+    if _zero(*[(None, c.min(), s.min()) for _, c, s in (alice, bob)], bounds):
+        null = np.flatnonzero(_zero(_at(alice, np.s_[:, None]), bob, bounds))
         i, j = divmod(null[0], n)
         raise _null_error(alice_kind, bob_kind, psi[i], psi[j])
-    # |b| / |a| = (|C_A| / |S_A|) (|S_B| / |C_B|), over the reference's ratio
-    ratio = (c[0] / s[0])[:, None] @ (s[1] / c[1])[None, :]
+    # |b| / |a| = (|C_A| / |S_A|) (|S_B| / |C_B|) and arg(b conj(a)) = arg F_A - arg F_B,
+    # from one vector per side; the sides go before the n x n work
+    ratio_a, ratio_b = alice[1] / alice[2], bob[2] / bob[1]
+    phase_a, phase_b = np.angle(alice[0]), np.angle(bob[0])
+    del u, alice, bob
+    ratio = ratio_a[:, None] @ ratio_b[None, :]
     ratio /= ref.ratio(psi[:, None], psi)
     ratio -= 1.0
     ratio_bad = np.abs(ratio, out=ratio) > THETA_TOL
     del ratio
-    # arg(b conj(a)) - theta = arg F_A - arg F_B - theta, wrapped into [-pi, pi)
-    phase = np.angle(f)
-    dev = np.subtract.outer(phase[0], phase[1])
+    # the offset less the reference's, wrapped into [-pi, pi)
+    dev = np.subtract.outer(phase_a, phase_b)
     dev -= ref.theta(psi[:, None], psi)
     dev += math.pi
     np.remainder(dev, math.tau, out=dev)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError
 from .harmonics import _error_points
 from .link import LinkSpec, _fringe, _fringe_powers
-from .modulator import LOW_MODULATION_LIMIT, ModulatorKind, make_modulator
+from .modulator import LOW_MODULATION_LIMIT, ModulatorKind, _require_real, make_modulator
 
 _KINDS = (ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM)
 KIND_PAIRS = tuple((a, b) for a in _KINDS for b in _KINDS)
@@ -105,6 +105,7 @@ def pair_bound(alice_kind: ModulatorKind, bob_kind: ModulatorKind, m: float) -> 
 
 def survey_all(max_m: float) -> list[PairReport]:
     """Worst first-order error per pairing at drive index ``max_m``."""
+    max_m = _require_real("max_m", max_m)
     if not (0.0 < max_m <= LOW_MODULATION_LIMIT):
         raise InvalidParameterError(
             f"drive index {max_m} outside the supported regime "

@@ -21,9 +21,12 @@ from fcqkd import (
     small_signal_error,
 )
 from fcqkd import harmonics
-from fcqkd.modulator import _COUPLING, carrier_amplitude, sideband_factor
+from fcqkd.modulator import _COUPLING
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
+# (eps1, eps2, arm 2's share of the drive index) per kind, from the device
+# model: the first-order oracles below read these, not the package's table
+COUPLINGS = {PM: (1.0, 0.0, 0.0), AM: (0.5, 0.5, 1.0), UM: (0.5, 0.5, 0.0)}
 
 
 def link(phase=0.0, loss=1.0):
@@ -37,8 +40,9 @@ def solo_spectrum(mod, order=None):
 
 def first_order_bands(mod):
     """(lower, upper) first-order sidebands: the sideband factor times e^{-/+j phi}."""
-    eps1, eps2, share = _COUPLING[mod.kind]
-    side = sideband_factor(eps1, eps2, mod.m, share * mod.m, cmath.exp(1j * mod.psi))
+    eps1, eps2, share = COUPLINGS[mod.kind]
+    u = cmath.exp(1j * mod.psi)
+    side = 0.5j * (eps1 * mod.m * u - eps2 * (share * mod.m) * u.conjugate())
     return side * cmath.exp(-1j * mod.phi), side * cmath.exp(1j * mod.phi)
 
 
@@ -217,16 +221,15 @@ def bessel_weights(alice, bob):
     jv = scipy.special.jv
 
     def carrier(mod):
-        eps1, eps2, share = _COUPLING[mod.kind]
-        return carrier_amplitude(
-            eps1 * jv(0, mod.m), eps2 * jv(0, share * mod.m), cmath.exp(1j * mod.psi)
-        )
+        eps1, eps2, share = COUPLINGS[mod.kind]
+        u = cmath.exp(1j * mod.psi)
+        return eps1 * jv(0, mod.m) * u + eps2 * jv(0, share * mod.m) * u.conjugate()
 
     def sideband(mod):
-        eps1, eps2, share = _COUPLING[mod.kind]
-        return sideband_factor(
-            eps1, eps2, 2 * jv(1, mod.m), 2 * jv(1, share * mod.m), cmath.exp(1j * mod.psi)
-        )
+        eps1, eps2, share = COUPLINGS[mod.kind]
+        u = cmath.exp(1j * mod.psi)
+        # (j/2)(eps1 m u - eps2 m2 conj(u)) with m/2 -> J_1(m)
+        return 1j * (eps1 * jv(1, mod.m) * u - eps2 * jv(1, share * mod.m) * u.conjugate())
 
     return carrier(bob) * sideband(alice), carrier(alice) * sideband(bob)
 

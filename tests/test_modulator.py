@@ -15,21 +15,28 @@ from fcqkd import (
     make_modulator,
 )
 from fcqkd.cli import _modulator_json
-from fcqkd.modulator import _COUPLING, carrier_amplitude, sideband_factor
+from fcqkd.modulator import _COUPLING
 
 KINDS = [ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM]
+# (eps1, eps2, arm 2's share of the drive index) per kind, from the device
+# model: the band oracle below reads these, not the package's table
+COUPLINGS = {
+    ModulatorKind.PM: (1.0, 0.0, 0.0),
+    ModulatorKind.AM: (0.5, 0.5, 1.0),
+    ModulatorKind.UM: (0.5, 0.5, 0.0),
+}
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 indices = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
 
 
 def bands(mod):
-    """(carrier, lower, upper) of one modulator from the two band helpers."""
-    eps1, eps2, share = _COUPLING[mod.kind]
+    """(carrier, lower, upper) of one modulator, the first-order formulas written out."""
+    eps1, eps2, share = COUPLINGS[mod.kind]
     u = cmath.exp(1j * mod.psi)
-    side = sideband_factor(eps1, eps2, mod.m, share * mod.m, u)
+    side = 0.5j * (eps1 * mod.m * u - eps2 * (share * mod.m) * u.conjugate())
     return (
-        carrier_amplitude(eps1, eps2, u),
+        eps1 * u + eps2 * u.conjugate(),
         side * cmath.exp(-1j * mod.phi),
         side * cmath.exp(1j * mod.phi),
     )

@@ -18,10 +18,13 @@ from fcqkd import (
     ModulatorSpec,
     PhaseUndefinedError,
     classify_pair,
+    interference_coeffs,
     make_modulator,
     protocols,
     sideband_powers,
+    sideband_powers_direct,
 )
+from fcqkd.link import _coefficients, phase_offset, visibility
 from fcqkd.modulator import _require_finite
 from fcqkd.protocols import (
     REFERENCE_TABLE,
@@ -36,6 +39,11 @@ from fcqkd.protocols import (
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
 GRID = [0.08 + (math.pi / 2 - 0.16) * i / 11 for i in range(12)]
+
+
+def _unit_coeffs(alice_kind, bob_kind, u_a, u_b):
+    """The closed form's coefficients and zero flags at unit drive index for bias phasors."""
+    return _coefficients((alice_kind, 1.0, u_a), (bob_kind, 1.0, u_b))
 
 
 class TestPointChecks:
@@ -256,7 +264,7 @@ class TestArrayPath:
     def test_array_coefficients_and_verdicts_match_scalar(self, pairing, protocol, points):
         alice_kind, bob_kind = pairing
         pa, pb = np.array(points).T
-        coeffs = protocols._unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
+        coeffs = _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
         in_class = protocols._in_class(coeffs, protocols._required_shift(protocol))
         for i, (psi_a, psi_b) in enumerate(points):
             a, b, a_zero, b_zero = protocols._coeffs_at(alice_kind, bob_kind, psi_a, psi_b)
@@ -360,11 +368,9 @@ _ZERO_VIS_FAMILIES = (
 
 _N_RANGE = np.arange(-2, 3)
 _required_shift = protocols._required_shift
-_unit_coeffs = protocols._unit_coeffs
 _in_class = protocols._in_class
 _coeffs_at = protocols._coeffs_at
 _null_error = protocols._null_error
-phase_offset = protocols.phase_offset
 
 
 def _bias_grid(psi_grid: list[float]) -> np.ndarray:
@@ -539,9 +545,9 @@ class TestStackedEvaluation:
         shapes = []
         original = protocols._factors
 
-        def counting(coupling, u):
+        def counting(kind, u):
             shapes.append(u.shape)
-            return original(coupling, u)
+            return original(kind, u)
 
         monkeypatch.setattr(protocols, "_factors", counting)
         n = len(GRID)
@@ -552,7 +558,7 @@ class TestStackedEvaluation:
             assert shapes == [(n, 2), (n, 12)]
             shapes.clear()
             assert compare_row_with_reference(alice_kind, bob_kind, row, GRID) == []
-            assert shapes == [(n,)]  # both sides at once
+            assert shapes == [(n,), (n,)]  # Alice's side, then Bob's
             shapes.clear()
 
 
@@ -566,6 +572,147 @@ class TestThresholdBoundaries:
         assert check_protocol(alice, bob, B92).feasible is inside
         row = classify_pair(UM, UM, [0.5, 0.5 + delta])
         assert row.b92.bias_constraint == ("any" if inside else "psi_b = psi_a + n*pi")
+
+
+# --- relations between pairings: the mirror and a bias shift by pi ----------
+#
+# Each relation is checked across the two paths that build a pairing from
+# its sides: the per-side factors of the classifier (protocols._factors) and
+# the pair closed form (link._coefficients) that check_protocol and the
+# fringe read.  A side wired to the wrong partner on either path breaks the
+# relation between them, where a relation checked on one path alone would
+# hold for a fault that is symmetric in the two sides.
+
+# Constraint labels with psi_a and psi_b swapped.  The two relative families
+# map to themselves: psi_a = psi_b + n*pi is psi_b = psi_a + (-n)*pi, and
+# likewise for (2n+1)*pi/2 with n -> -n-1.
+_MIRRORED = {
+    "psi_a = n*pi": "psi_b = n*pi",
+    "psi_b = n*pi": "psi_a = n*pi",
+    "psi_a = (2n+1)*pi/2": "psi_b = (2n+1)*pi/2",
+    "psi_b = (2n+1)*pi/2": "psi_a = (2n+1)*pi/2",
+}
+# Two roundings in the two ratios and one in their product: |r r' - 1| <= 3u
+# to first order, u = 2^-53.
+_RECIPROCAL_TOL = 4 * 2.0**-53
+
+
+def _side_offsets_and_ratios(alice_kind, bob_kind, u_a, u_b):
+    """arg(b conj(a)) and |b|/|a| from the per-side factors, for arrays of bias phasors."""
+    f_a, c_a, s_a = protocols._factors(alice_kind, u_a)
+    f_b, c_b, s_b = protocols._factors(bob_kind, u_b)
+    return np.angle(f_a) - np.angle(f_b), (c_a / s_a) * (s_b / c_b)
+
+
+def _wrapped(x):
+    """``x`` wrapped into [-pi, pi)."""
+    return np.remainder(x + math.pi, math.tau) - math.pi
+
+
+def _generic_biases(seed: int, n: int = 40) -> np.ndarray:
+    """(2, n) biases at least 0.1 from the multiples of pi/2, where coefficients vanish."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.1, 0.5 * math.pi - 0.1, (2, n)) + 0.5 * math.pi * rng.integers(
+        -3, 3, (2, n)
+    )
+
+
+# The per-side factors and the closed form read the same C and S values, so
+# an offset or ratio from one differs from the other's only by the roundings
+# of two complex products and an atan2 per side, a few ulps (4 ulps of pi at
+# most over 72 000 points); these bounds allow 20.
+_CROSS_OFFSET_TOL = 1e-14
+_CROSS_RATIO_TOL = 1e-14
+
+
+class TestRelations:
+    def test_mirror_swaps_the_labels_and_inverts_the_ratio(self):
+        # classify_pair(B, A) gives (A, B)'s verdicts with psi_a and psi_b
+        # swapped in each label; check_protocol on the swapped specs, at
+        # points of the verdict's family (or generic points for an infeasible
+        # verdict), gives the same verdict with the reciprocal ratio
+        rng = np.random.default_rng(31)
+        grids = [GRID] + [np.sort(rng.uniform(0.03, math.pi / 2 - 0.03, 8)) for _ in range(3)]
+        u_a, u_b = np.exp(1j * _generic_biases(41))
+        for alice_kind, bob_kind in ROW_ORDER:
+            # Bob's side as Alice's and Alice's as Bob's: the per-side factors
+            # give minus the closed form's offset and its reciprocal ratio
+            a, b, _, _ = _unit_coeffs(alice_kind, bob_kind, u_a, u_b)
+            offset, ratio = _side_offsets_and_ratios(bob_kind, alice_kind, u_b, u_a)
+            offset += np.angle(b) - np.angle(a)
+            assert np.max(np.abs(_wrapped(offset))) <= _CROSS_OFFSET_TOL
+            assert np.max(np.abs(ratio * (np.abs(b) / np.abs(a)) - 1.0)) <= _CROSS_RATIO_TOL
+            for grid in grids:
+                row = classify_pair(alice_kind, bob_kind, grid)
+                mirror = classify_pair(bob_kind, alice_kind, grid)
+                for protocol, got, swapped in (
+                    (B92, row.b92, mirror.b92), (BB84, row.bb84, mirror.bb84)
+                ):
+                    label = _MIRRORED.get(swapped.bias_constraint, swapped.bias_constraint)
+                    assert (swapped.feasible, label, swapped.failure_reason) == (
+                        got.feasible, got.bias_constraint, got.failure_reason
+                    )
+                    where = got.bias_constraint if got.feasible else "any"
+                    for t in grid[::3]:
+                        pa, pb = _constrained_point(where, float(t))
+                        alice = make_modulator(alice_kind, 0.1, pa)
+                        bob = make_modulator(bob_kind, 0.1, pb)
+                        forward = check_protocol(alice, bob, protocol)
+                        back = check_protocol(bob, alice, protocol)
+                        assert forward.feasible is back.feasible is got.feasible
+                        assert forward.failure_reason == back.failure_reason
+                        if got.feasible:
+                            product = forward.index_ratio * back.index_ratio
+                            assert abs(product - 1.0) <= _RECIPROCAL_TOL
+
+    def test_bias_shift_by_pi_negates_both_coefficients(self):
+        psi = _generic_biases(37)
+        u_a, u_b = np.exp(1j * psi)
+        phi = np.random.default_rng(43).uniform(-math.pi, math.pi, (3, psi.shape[1]))
+        for alice_kind, bob_kind in ROW_ORDER:
+            a, b, a_zero, b_zero = _unit_coeffs(alice_kind, bob_kind, u_a, u_b)
+            offset = np.angle(b) - np.angle(a)
+            for shifted in ((-u_a, u_b), (u_a, -u_b)):
+                # e^{j(psi + pi)} = -e^{j psi}: negation is exact, and so is the relation
+                got = _unit_coeffs(alice_kind, bob_kind, *shifted)
+                assert np.array_equal(got[0], -a) and np.array_equal(got[1], -b)
+                assert np.array_equal(got[2], a_zero) and np.array_equal(got[3], b_zero)
+                # the per-side factors at the shifted biases give the closed
+                # form's offset and ratio at the unshifted ones
+                side_offset, side_ratio = _side_offsets_and_ratios(alice_kind, bob_kind, *shifted)
+                assert np.max(np.abs(_wrapped(side_offset - offset))) <= _CROSS_OFFSET_TOL
+                ratio = np.abs(b) / np.abs(a)
+                assert np.max(np.abs(side_ratio / ratio - 1.0)) <= _CROSS_RATIO_TOL
+            # Through the specs, psi + pi is rounded (and so is pi): the bias
+            # moves by under 1e-15 rad, which a coefficient at least 0.1 from
+            # its null (|d ln C / d psi| <= 1 / tan 0.1 < 10) turns into a
+            # relative change under 1e-14.  Visibility, offset and both power
+            # pairs move by under 2e-14, plus their own roundings.
+            for k in range(psi.shape[1]):
+                pa, pb = psi[:, k]
+                span = LinkSpec(rf_frequency=1.0, link_phase=phi[2, k])
+                alice = make_modulator(alice_kind, 0.1, pa, phi[0, k])
+                bob = make_modulator(bob_kind, 0.05, pb, phi[1, k])
+                want = _fringe_measures(alice, bob, span)
+                for pair in (
+                    (dataclasses.replace(alice, psi=pa + math.pi), bob),
+                    (alice, dataclasses.replace(bob, psi=pb - math.pi)),
+                ):
+                    got = _fringe_measures(*pair, span)
+                    deviation = np.abs(np.subtract(got, want))
+                    deviation[1] = abs(_wrapped(got[1] - want[1]))
+                    assert np.max(deviation) <= 3e-14
+
+
+def _fringe_measures(alice, bob, span):
+    """Visibility, phase offset, then the closed and the direct (upper, lower) powers."""
+    a, b = interference_coeffs(alice, bob)
+    return (
+        visibility(a, b),
+        phase_offset(a, b),
+        *sideband_powers(alice, bob, span),
+        *sideband_powers_direct(alice, bob, span),
+    )
 
 
 # Values no kind, bias, grid, row or protocol argument may be; a 0-d and a

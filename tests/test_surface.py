@@ -167,16 +167,46 @@ def test_every_public_callable_has_valid_arguments():
         getattr(fcqkd, name)(*args)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_VALID_ARGS)), st.data())
+# Entry points of the benchmark contract outside __all__, and arguments on
+# which each returns
+_CONTRACT_ARGS = {
+    "verification.survey_all": (0.1,),
+    "link.visibility": (0.3 + 0.1j, -0.2j),
+    "link.phase_offset": (0.3 + 0.1j, -0.2j),
+}
+
+
+def public_callable(name):
+    """A callable of ``__all__`` by its name, or one outside it as ``module.name``."""
+    module, _, attr = name.rpartition(".")
+    return getattr(importlib.import_module(f"fcqkd.{module}") if module else fcqkd, attr)
+
+
+@settings(max_examples=360, deadline=None)
+@given(st.sampled_from(sorted(_VALID_ARGS) + sorted(_CONTRACT_ARGS)), st.data())
 def test_public_callables_return_or_raise_a_package_error(name, data):
-    args = _VALID_ARGS[name]
+    args = {**_VALID_ARGS, **_CONTRACT_ARGS}[name]
     junk = data.draw(st.lists(st.booleans(), min_size=len(args), max_size=len(args)))
     args = [data.draw(_JUNK) if replace else arg for arg, replace in zip(args, junk)]
     try:
-        getattr(fcqkd, name)(*args)
+        public_callable(name)(*args)
     except fcqkd.FcqkdError:
         pass
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("verification.survey_all", ("0.1",)),
+        ("verification.survey_all", (None,)),
+        ("link.visibility", (None, 1)),
+        ("link.phase_offset", ("a", 1j)),
+    ],
+    ids=["survey_all-str", "survey_all-None", "visibility-None", "phase_offset-str"],
+)
+def test_contract_callables_reject_non_numbers(name, args):
+    with pytest.raises(fcqkd.InvalidParameterError):
+        public_callable(name)(*args)
 
 
 # --- the import contract: only the layers that compute with arrays load numpy
