@@ -194,24 +194,24 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _get_float(name, section, key, default=None) -> float:
+def _get(name, section, key, default=None):
+    """``section[key]`` as a float, or an int where ``default`` is one; ``default`` if absent."""
     if key not in section:
         if default is None:
             raise ConfigError(f"missing key {key!r} in section [{name}]")
         return default
-    try:
-        return float(section[key])
-    except ValueError as exc:
-        raise ConfigError(f"[{name}] {key} = {section[key]!r}: not a number") from exc
-
-
-def _get_int(name, section, key, default=None) -> int:
-    if key in section:
+    text, integer = section[key], isinstance(default, int)
+    if integer:
         try:
-            return int(section[key])  # exact beyond 2**53, where floats round
+            return int(text)  # exact beyond 2**53, where floats round
         except ValueError:
             pass
-    value = _get_float(name, section, key, default)
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {key} = {text!r}: not a number") from exc
+    if not integer:
+        return value
     if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"[{name}] {key} must be an integer")
     return int(value)
@@ -234,12 +234,12 @@ def _parse_modulator(name, section) -> ModulatorSpec:
     if (has_vrf or has_vdc) and "v_pi_volts" not in section:
         raise ConfigError(f"[{name}] voltage keys require 'v_pi_volts'")
 
-    v_pi = _get_float(name, section, "v_pi_volts", math.nan)
-    m = index_from_voltage(_get_float(name, section, "v_rf_volts"), v_pi) if has_vrf \
-        else _get_float(name, section, "m")
-    psi = bias_phase_from_voltage(_get_float(name, section, "v_dc_volts"), v_pi) if has_vdc \
-        else _get_float(name, section, "psi")
-    phi = _get_float(name, section, "phi", 0.0)
+    v_pi = _get(name, section, "v_pi_volts", math.nan)
+    m = index_from_voltage(_get(name, section, "v_rf_volts"), v_pi) if has_vrf \
+        else _get(name, section, "m")
+    psi = bias_phase_from_voltage(_get(name, section, "v_dc_volts"), v_pi) if has_vdc \
+        else _get(name, section, "psi")
+    phi = _get(name, section, "phi", ModulatorSpec.phi)
     return make_modulator(kind, m, psi, phi)
 
 
@@ -261,32 +261,28 @@ def parse_config(text: str) -> RunConfig:
     alice = _parse_modulator("alice", sections["alice"])
     bob = _parse_modulator("bob", sections["bob"])
 
-    if "link" in sections:
-        link_section = sections["link"]
-        rf_ghz = _get_float("link", link_section, "rf_ghz", 15.0)
-        link_phase = _get_float("link", link_section, "link_phase_rad", 0.0)
-        loss = _get_float("link", link_section, "loss", 1.0)
-    else:
-        rf_ghz, link_phase, loss = 15.0, 0.0, 1.0
+    # A missing section reads as an empty one; the spec classes hold the defaults.
+    link_section = sections.get("link", {})
+    rf_ghz = _get("link", link_section, "rf_ghz", 15.0)
+    link_phase = _get("link", link_section, "link_phase_rad", LinkSpec.link_phase)
+    loss = _get("link", link_section, "loss", LinkSpec.loss)
     if not (rf_ghz > 0.0 and math.isfinite(math.tau * rf_ghz * 1e9)):
         raise ConfigError(
             f"[link] rf_ghz must be positive, with 2*pi*rf_ghz*1e9 rad/s finite, got {rf_ghz!r}"
         )
     link = LinkSpec(rf_frequency=math.tau * rf_ghz * 1e9, link_phase=link_phase, loss=loss)
 
-    sweep_start, sweep_stop, sweep_steps = 0.0, math.tau, 64
-    if "sweep" in sections:
-        sweep = sections["sweep"]
-        variable = sweep.get("variable", "delta_phi").strip()
-        if variable != "delta_phi":
-            raise ConfigError(f"[sweep] unsupported variable {variable!r}")
-        sweep_start = _get_float("sweep", sweep, "start", 0.0)
-        sweep_stop = _get_float("sweep", sweep, "stop", math.tau)
-        sweep_steps = _get_int("sweep", sweep, "steps", 64)
-        if not math.isfinite(sweep_stop - sweep_start):
-            raise ConfigError("[sweep] start, stop and stop - start must be finite")
-        if not 0 < sweep_steps <= MAX_SWEEP_STEPS:
-            raise ConfigError(f"[sweep] steps must be in [1, {MAX_SWEEP_STEPS}]")
+    sweep = sections.get("sweep", {})
+    variable = sweep.get("variable", "delta_phi").strip()
+    if variable != "delta_phi":
+        raise ConfigError(f"[sweep] unsupported variable {variable!r}")
+    sweep_start = _get("sweep", sweep, "start", 0.0)
+    sweep_stop = _get("sweep", sweep, "stop", math.tau)
+    sweep_steps = _get("sweep", sweep, "steps", 64)
+    if not math.isfinite(sweep_stop - sweep_start):
+        raise ConfigError("[sweep] start, stop and stop - start must be finite")
+    if not 0 < sweep_steps <= MAX_SWEEP_STEPS:
+        raise ConfigError(f"[sweep] steps must be in [1, {MAX_SWEEP_STEPS}]")
 
     montecarlo = None
     if "montecarlo" in sections:
@@ -301,11 +297,11 @@ def parse_config(text: str) -> RunConfig:
             alice=alice,
             bob=bob,
             link=link,
-            mu=_get_float("montecarlo", mc, "mu"),
-            eta=_get_float("montecarlo", mc, "eta", 1.0),
-            p_dark=_get_float("montecarlo", mc, "p_dark", 0.0),
-            n_pulses=_get_int("montecarlo", mc, "n_pulses", 100_000),
-            seed=_get_int("montecarlo", mc, "seed", 0),
+            mu=_get("montecarlo", mc, "mu"),
+            eta=_get("montecarlo", mc, "eta", SessionConfig.eta),
+            p_dark=_get("montecarlo", mc, "p_dark", SessionConfig.p_dark),
+            n_pulses=_get("montecarlo", mc, "n_pulses", SessionConfig.n_pulses),
+            seed=_get("montecarlo", mc, "seed", SessionConfig.seed),
         )
 
     out_format = out_path = None

@@ -67,10 +67,10 @@ def _no_sideband_light() -> DegenerateConfigurationError:
     )
 
 
-def _not_coefficients(alice_coeff, bob_coeff) -> InvalidParameterError:
-    """The error of coefficients that are not complex numbers."""
+def _not_coefficients(alice_coeff, bob_coeff, what="complex numbers") -> InvalidParameterError:
+    """The error of coefficients that are not complex numbers, or not ``what``."""
     return InvalidParameterError(
-        f"interference coefficients must be complex numbers, got {alice_coeff!r}, {bob_coeff!r}"
+        f"interference coefficients must be {what}, got {alice_coeff!r}, {bob_coeff!r}"
     )
 
 
@@ -124,9 +124,13 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
         a = abs(alice_coeff)
         b = abs(bob_coeff)
         low, high = (a, b) if a <= b else (b, a)
+        if not low <= high < math.inf:  # a NaN fails the first test, an infinity the second
+            raise _not_coefficients(alice_coeff, bob_coeff, "finite")
         if high == 0.0:
             raise _no_sideband_light()
         r = low / high
+    except InvalidParameterError:
+        raise
     except (TypeError, ValueError, OverflowError):
         raise _not_coefficients(alice_coeff, bob_coeff) from None
     return 2.0 * r / (1.0 + r * r)
@@ -135,11 +139,16 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
 def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
     """Intrinsic fringe phase arg(bob_coeff) - arg(alice_coeff) in (-pi, pi]."""
     try:
-        if abs(alice_coeff) == 0.0 or abs(bob_coeff) == 0.0:
+        a, b = abs(alice_coeff), abs(bob_coeff)
+        if not (a < math.inf and b < math.inf):  # a NaN fails too
+            raise _not_coefficients(alice_coeff, bob_coeff, "finite")
+        if a == 0.0 or b == 0.0:
             raise PhaseUndefinedError(
                 "phase offset undefined: an interference coefficient is zero"
             )
         wrapped = math.remainder(cmath.phase(bob_coeff) - cmath.phase(alice_coeff), math.tau)
+    except InvalidParameterError:
+        raise
     except (TypeError, ValueError, OverflowError):
         raise _not_coefficients(alice_coeff, bob_coeff) from None
     return wrapped + math.tau if wrapped <= -math.pi else wrapped

@@ -62,7 +62,11 @@ from .config import MAX_PULSES, SessionConfig
 from .errors import InfeasibleProtocolError, InvalidParameterError
 from .link import B92, BB84, _fringe, _fringe_powers
 from .modulator import _require_finite, _require_instances
-from .protocols import CANONICAL_PHASES, check_protocol
+from .protocols import check_protocol
+
+# Drive phases of the key alphabets; each protocol's alphabet is drawn from
+# these, and Bob's are compensated for the span and the offset.
+CANONICAL_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 
 # Indices into CANONICAL_PHASES.  BB84: Alice's row k encodes basis k % 2
 # and bit k // 2, Bob's column is his basis.  B92: Alice's row is her bit,

@@ -47,10 +47,6 @@ from .modulator import (
 
 THETA_TOL = 1e-9
 
-# Drive phases of the key alphabets; montecarlo picks each protocol's
-# alphabet from these and compensates Bob's for the span and offset.
-CANONICAL_PHASES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-
 
 @dataclass(frozen=True)
 class ProtocolFeasibility:
@@ -100,26 +96,19 @@ def _coeffs_at(alice_kind, bob_kind, psi_a: float, psi_b: float):
     )
 
 
-def _in_class(coeffs, shift: float, tol: float = THETA_TOL):
-    """Elementwise: both coefficients alive and arg b - arg a within ``tol`` of ``shift`` mod pi.
-
-    z = b conj(a) e^{-j shift} has argument arg b - arg a - shift, which is
-    within tol of a multiple of pi exactly when |Im z| <= tan(tol) |Re z|.
-    """
-    a, b, a_zero, b_zero = coeffs
-    z = b * a.conjugate() * cmath.exp(-1j * shift)
-    return np.logical_not(a_zero | b_zero) & (abs(z.imag) <= math.tan(tol) * abs(z.real))
-
-
 def check_protocol(alice: ModulatorSpec, bob: ModulatorSpec, protocol: str) -> ProtocolFeasibility:
     """Verdict for ``protocol`` at the given biases; the drive indices are free."""
     shift = _required_shift(protocol)
     _require_instances(ModulatorSpec, "alice and bob", alice, bob)
-    a, b, a_zero, b_zero = coeffs = _coeffs_at(alice.kind, bob.kind, alice.psi, bob.psi)
-    if _in_class(coeffs, shift):
+    a, b, a_zero, b_zero = _coeffs_at(alice.kind, bob.kind, alice.psi, bob.psi)
+    if a_zero or b_zero:
+        return ProtocolFeasibility(protocol, False, "as-configured", None, "zero-visibility")
+    # arg z = arg b - arg a - shift is within THETA_TOL of a multiple of pi
+    # exactly when |Im z| <= tan(THETA_TOL) |Re z|
+    z = b * a.conjugate() * cmath.exp(-1j * shift)
+    if abs(z.imag) <= math.tan(THETA_TOL) * abs(z.real):
         return ProtocolFeasibility(protocol, True, "as-configured", abs(b) / abs(a), "none")
-    reason = "zero-visibility" if a_zero or b_zero else "theta-mismatch"
-    return ProtocolFeasibility(protocol, False, "as-configured", None, reason)
+    return ProtocolFeasibility(protocol, False, "as-configured", None, "theta-mismatch")
 
 
 # --- bias-constraint families --------------------------------------------
@@ -207,7 +196,7 @@ _WHERE = {
 
 
 def _near_class(z: np.ndarray, tol: float) -> np.ndarray:
-    """Elementwise |Im z| <= tan(tol) |Re z|, as in :func:`_in_class`; overwrites ``z``."""
+    """Elementwise |Im z| <= tan(tol) |Re z|, as in :func:`check_protocol`; overwrites ``z``."""
     parts = np.abs(z.view(np.float64), out=z.view(np.float64))
     re = parts[..., 0::2]
     re *= math.tan(tol)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 from unittest import mock
@@ -21,12 +22,10 @@ from fcqkd import (
     small_signal_error,
 )
 from fcqkd import harmonics
-from fcqkd.modulator import _COUPLING
+
+import first_order
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
-# (eps1, eps2, arm 2's share of the drive index) per kind, from the device
-# model: the first-order oracles below read these, not the package's table
-COUPLINGS = {PM: (1.0, 0.0, 0.0), AM: (0.5, 0.5, 1.0), UM: (0.5, 0.5, 0.0)}
 
 
 def link(phase=0.0, loss=1.0):
@@ -36,14 +35,6 @@ def link(phase=0.0, loss=1.0):
 def solo_spectrum(mod, order=None):
     """One modulator's spectrum: the tandem's with an undriven Bob over a lossless span."""
     return exact_tandem_spectrum(mod, make_modulator(PM, 0.0), link(), order)
-
-
-def first_order_bands(mod):
-    """(lower, upper) first-order sidebands: the sideband factor times e^{-/+j phi}."""
-    eps1, eps2, share = COUPLINGS[mod.kind]
-    u = cmath.exp(1j * mod.psi)
-    side = 0.5j * (eps1 * mod.m * u - eps2 * (share * mod.m) * u.conjugate())
-    return side * cmath.exp(-1j * mod.phi), side * cmath.exp(1j * mod.phi)
 
 
 def assert_jacobi_anger(x):
@@ -126,7 +117,7 @@ class TestModulatorSpectrum:
         for m in (0.02, 0.04, 0.08):
             mod = make_modulator(UM, m, 0.4, 0.7)
             spectrum = solo_spectrum(mod)
-            lower, upper = first_order_bands(mod)
+            _, lower, upper = first_order.bands(mod)
             dev = max(abs(spectrum.amp(1) - upper), abs(spectrum.amp(-1) - lower)) / abs(upper)
             assert dev <= m * m / 4
             deviations.append(dev)
@@ -138,7 +129,7 @@ class TestModulatorSpectrum:
         for m in (0.02, 0.05, 0.1):
             mod = make_modulator(kind, m, 0.4, 0.2)
             spectrum = solo_spectrum(mod)
-            _, upper = first_order_bands(mod)
+            _, _, upper = first_order.bands(mod)
             dev = abs(spectrum.amp(1) - upper) / abs(upper)
             assert dev <= m * m / 4
 
@@ -164,7 +155,7 @@ class TestTandemSpectrum:
         # reference: each factor built from scipy's J_k at three times the
         # order, the span applied per harmonic, then convolved directly
         def factor(mod, order):
-            eps1, eps2, share = _COUPLING[mod.kind]
+            eps1, eps2, share = first_order.COUPLINGS[mod.kind]
             k = np.arange(-order, order + 1)
             return (1j**k) * np.exp(1j * k * mod.phi) * (
                 eps1 * scipy.special.jv(k, mod.m) * cmath.exp(1j * mod.psi)
@@ -217,21 +208,12 @@ class TestTandemSpectrum:
 
 def bessel_weights(alice, bob):
     """Interference weights with m/2 -> J_1(m) and 1 -> J_0(m) in the first-order factors."""
-
-    jv = scipy.special.jv
-
-    def carrier(mod):
-        eps1, eps2, share = COUPLINGS[mod.kind]
-        u = cmath.exp(1j * mod.psi)
-        return eps1 * jv(0, mod.m) * u + eps2 * jv(0, share * mod.m) * u.conjugate()
-
-    def sideband(mod):
-        eps1, eps2, share = COUPLINGS[mod.kind]
-        u = cmath.exp(1j * mod.psi)
-        # (j/2)(eps1 m u - eps2 m2 conj(u)) with m/2 -> J_1(m)
-        return 1j * (eps1 * jv(1, mod.m) * u - eps2 * jv(1, share * mod.m) * u.conjugate())
-
-    return carrier(bob) * sideband(alice), carrier(alice) * sideband(bob)
+    # at phi = 0 the upper band is the sideband factor itself
+    (c_a, _, s_a), (c_b, _, s_b) = (
+        first_order.bands(dataclasses.replace(mod, phi=0.0), scipy.special.jv)
+        for mod in (alice, bob)
+    )
+    return c_b * s_a, c_a * s_b
 
 
 class TestInterferenceWeights:
@@ -322,7 +304,7 @@ class TestSmallSignalError:
 # three rows with norm="forward" and applies the tail rule through abs()**2.
 
 def reference_field(mod, theta, delay=0.0, scale=1.0):
-    eps1, eps2, share = _COUPLING[mod.kind]
+    eps1, eps2, share = first_order.COUPLINGS[mod.kind]
     u = scale * cmath.exp(1j * mod.psi)
     drive = np.cos(theta + (mod.phi - delay))
     return (eps1 * u) * np.exp((1j * mod.m) * drive) + (

@@ -21,11 +21,10 @@ from fcqkd import (
 )
 from fcqkd.link import _direct_powers, _fringe, _fringe_powers, phase_offset, visibility
 
+import first_order
+
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 KINDS = [PM, AM, UM]
-# (eps1, eps2, arm 2's share of the drive index) per kind, from the device
-# model: the band oracle below reads these, not the package's table
-COUPLINGS = {PM: (1.0, 0.0, 0.0), AM: (0.5, 0.5, 1.0), UM: (0.5, 0.5, 0.0)}
 
 angles = st.floats(min_value=-7.0, max_value=7.0, allow_nan=False)
 indices = st.floats(min_value=0.01, max_value=0.2, allow_nan=False)
@@ -92,19 +91,8 @@ class ThreeBandField(NamedTuple):
 
 
 def band_amplitudes(mod: ModulatorSpec) -> ThreeBandField:
-    """First-order three-band output field of a single modulator.
-
-    Carrier eps1 u + eps2 conj(u) and sideband factor (j/2)(eps1 m u -
-    eps2 m2 conj(u)), with u = e^{j psi}, written out in full.
-    """
-    eps1, eps2, share = COUPLINGS[mod.kind]
-    u = cmath.exp(1j * mod.psi)
-    s = 0.5j * (eps1 * mod.m * u - eps2 * (share * mod.m) * u.conjugate())
-    return ThreeBandField(
-        carrier=eps1 * u + eps2 * u.conjugate(),
-        lower=s * cmath.exp(-1j * mod.phi),
-        upper=s * cmath.exp(1j * mod.phi),
-    )
+    """First-order three-band output field of a single modulator (the shared model)."""
+    return ThreeBandField(*first_order.bands(mod))
 
 
 def propagate(field: ThreeBandField, link: LinkSpec) -> ThreeBandField:

@@ -15,31 +15,20 @@ from fcqkd import (
     make_modulator,
 )
 from fcqkd.cli import _modulator_json
-from fcqkd.modulator import _COUPLING
+from fcqkd.modulator import _side
+
+import first_order
 
 KINDS = [ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM]
-# (eps1, eps2, arm 2's share of the drive index) per kind, from the device
-# model: the band oracle below reads these, not the package's table
-COUPLINGS = {
-    ModulatorKind.PM: (1.0, 0.0, 0.0),
-    ModulatorKind.AM: (0.5, 0.5, 1.0),
-    ModulatorKind.UM: (0.5, 0.5, 0.0),
-}
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 indices = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
 
 
 def bands(mod):
-    """(carrier, lower, upper) of one modulator, the first-order formulas written out."""
-    eps1, eps2, share = COUPLINGS[mod.kind]
-    u = cmath.exp(1j * mod.psi)
-    side = 0.5j * (eps1 * mod.m * u - eps2 * (share * mod.m) * u.conjugate())
-    return (
-        eps1 * u + eps2 * u.conjugate(),
-        side * cmath.exp(-1j * mod.phi),
-        side * cmath.exp(1j * mod.phi),
-    )
+    """(carrier, lower, upper) of one modulator from the package's per-side closed form."""
+    carrier, side, _ = _side(mod.kind, mod.m, cmath.exp(1j * mod.psi))
+    return carrier, side * cmath.exp(-1j * mod.phi), side * cmath.exp(1j * mod.phi)
 
 
 def test_make_pm():
@@ -91,7 +80,7 @@ def test_unknown_kind_rejected():
 @given(st.sampled_from(KINDS), indices, angles, angles)
 def test_constructor_invariants(kind, m, psi, phi):
     # the payload reports the kind's coupling-table row, arm 2 driven at share * m
-    eps1, eps2, share = _COUPLING[kind]
+    eps1, eps2, share = first_order.COUPLINGS[kind]
     assert _modulator_json(make_modulator(kind, m, psi, phi)) == {
         "kind": kind.value, "eps1": eps1, "eps2": eps2, "m1": m, "m2": share * m,
         "psi": psi, "phi": phi,
@@ -187,6 +176,13 @@ def test_sideband_magnitude_independent_of_phi(kind, m, psi, phi):
     _, lower, upper = bands(make_modulator(kind, m, psi, phi))
     assert abs(upper) == pytest.approx(abs(ref_upper), abs=1e-15)
     assert abs(lower) == pytest.approx(abs(ref_lower), abs=1e-15)
+
+
+@given(st.sampled_from(KINDS), indices, angles, angles)
+def test_bands_match_the_first_order_model(kind, m, psi, phi):
+    # the same operations in the same order: equal to the last bit
+    mod = make_modulator(kind, m, psi, phi)
+    assert bands(mod) == first_order.bands(mod)
 
 
 @given(indices)

@@ -25,8 +25,8 @@ from fcqkd import (
 )
 from fcqkd import montecarlo
 from fcqkd.link import _fringe, _fringe_powers
-from fcqkd.montecarlo import MAX_PULSES, SessionStats, offset_seed
-from fcqkd.protocols import CANONICAL_PHASES, check_protocol
+from fcqkd.montecarlo import CANONICAL_PHASES, MAX_PULSES, SessionStats, offset_seed
+from fcqkd.protocols import check_protocol
 
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 

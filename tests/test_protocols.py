@@ -36,6 +36,8 @@ from fcqkd.protocols import (
     evaluate_pair,
 )
 
+import first_order
+
 PM, AM, UM = ModulatorKind.PM, ModulatorKind.AM, ModulatorKind.UM
 
 GRID = [0.08 + (math.pi / 2 - 0.16) * i / 11 for i in range(12)]
@@ -265,7 +267,9 @@ class TestArrayPath:
         alice_kind, bob_kind = pairing
         pa, pb = np.array(points).T
         coeffs = _unit_coeffs(alice_kind, bob_kind, np.exp(1j * pa), np.exp(1j * pb))
-        in_class = protocols._in_class(coeffs, protocols._required_shift(protocol))
+        in_class = first_order.in_class(
+            coeffs, protocols._required_shift(protocol), protocols.THETA_TOL
+        )
         for i, (psi_a, psi_b) in enumerate(points):
             a, b, a_zero, b_zero = protocols._coeffs_at(alice_kind, bob_kind, psi_a, psi_b)
             assert (coeffs[2][i], coeffs[3][i]) == (a_zero, b_zero)
@@ -368,7 +372,6 @@ _ZERO_VIS_FAMILIES = (
 
 _N_RANGE = np.arange(-2, 3)
 _required_shift = protocols._required_shift
-_in_class = protocols._in_class
 _coeffs_at = protocols._coeffs_at
 _null_error = protocols._null_error
 
@@ -392,7 +395,7 @@ def _classify_protocol(alice_kind, bob_kind, protocol: str, psi: np.ndarray):
     candidates += [(family.label, family.points(*lattice)) for family in _FEASIBLE_FAMILIES]
     for label, points in candidates:
         pa, pb = np.broadcast_arrays(*points)
-        if _in_class(coeffs(pa, pb), shift).all():
+        if first_order.in_class(coeffs(pa, pb), shift, protocols.THETA_TOL).all():
             k = pa.size // 3
             _, ratio = evaluate_pair(alice_kind, bob_kind, pa.flat[k], pb.flat[k])
             return ProtocolFeasibility(protocol, True, label, ratio, "none")
@@ -403,7 +406,8 @@ def _classify_protocol(alice_kind, bob_kind, protocol: str, psi: np.ndarray):
         pa, pb = family.points(*lattice)
         _, _, a_zero, b_zero = coeffs(pa, pb)
         # Just off the locus the offset must approach the required class.
-        if np.all(a_zero | b_zero) and _in_class(coeffs(pa + 1e-6, pb + 1e-6), shift, 1e-3).all():
+        nudged = coeffs(pa + 1e-6, pb + 1e-6)
+        if np.all(a_zero | b_zero) and first_order.in_class(nudged, shift, 1e-3).all():
             return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
     return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
 

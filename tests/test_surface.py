@@ -201,8 +201,19 @@ def test_public_callables_return_or_raise_a_package_error(name, data):
         ("verification.survey_all", (None,)),
         ("link.visibility", (None, 1)),
         ("link.phase_offset", ("a", 1j)),
+        # non-finite coefficients, which used to return nan, 0.0 or pi/2
+        ("link.visibility", (math.nan, 1)),
+        ("link.phase_offset", (math.nan, 1)),
+        ("link.visibility", (math.inf, 1)),
+        ("link.phase_offset", (complex(math.inf, 0.0), 1j)),
+        ("link.visibility", (0.0, complex(math.nan, math.inf))),
+        ("link.phase_offset", (0.0, complex(0.0, math.nan))),
     ],
-    ids=["survey_all-str", "survey_all-None", "visibility-None", "phase_offset-str"],
+    ids=[
+        "survey_all-str", "survey_all-None", "visibility-None", "phase_offset-str",
+        "visibility-nan", "phase_offset-nan", "visibility-inf", "phase_offset-inf",
+        "visibility-zero-and-nan", "phase_offset-zero-and-nan",
+    ],
 )
 def test_contract_callables_reject_non_numbers(name, args):
     with pytest.raises(fcqkd.InvalidParameterError):
