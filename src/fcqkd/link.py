@@ -121,8 +121,7 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
     found none above 1.
     """
     try:
-        a = abs(alice_coeff)
-        b = abs(bob_coeff)
+        a, b = abs(alice_coeff), abs(bob_coeff)
         low, high = (a, b) if a <= b else (b, a)
         if not low <= high < math.inf:  # a NaN fails the first test, an infinity the second
             raise _not_coefficients(alice_coeff, bob_coeff, "finite")
