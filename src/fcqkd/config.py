@@ -47,9 +47,6 @@ _SECTION_KEYS = {
     "output": {"format", "path"},
 }
 
-# A missing section's keys, shared and never written: each key takes its default.
-_NO_KEYS: dict[str, str] = {}
-
 # Every sweep step is one output row.  The rows are held in memory until the
 # sweep is written; the text is not, as it is encoded into its destination.
 MAX_SWEEP_STEPS = 100_000
@@ -264,7 +261,7 @@ def parse_config(text: str) -> RunConfig:
     alice = _parse_modulator("alice", sections["alice"])
     bob = _parse_modulator("bob", sections["bob"])
 
-    link_section = sections.get("link", _NO_KEYS)
+    link_section = sections.get("link", {})
     rf_ghz = _get("link", link_section, "rf_ghz", 15.0)
     link_phase = _get("link", link_section, "link_phase_rad", LinkSpec.link_phase)
     loss = _get("link", link_section, "loss", LinkSpec.loss)
@@ -274,7 +271,7 @@ def parse_config(text: str) -> RunConfig:
         )
     link = LinkSpec(rf_frequency=math.tau * rf_ghz * 1e9, link_phase=link_phase, loss=loss)
 
-    sweep = sections.get("sweep", _NO_KEYS)
+    sweep = sections.get("sweep", {})
     variable = sweep.get("variable", "delta_phi").strip()
     if variable != "delta_phi":
         raise ConfigError(f"[sweep] unsupported variable {variable!r}")

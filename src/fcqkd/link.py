@@ -123,15 +123,14 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
     try:
         a, b = abs(alice_coeff), abs(bob_coeff)
         low, high = (a, b) if a <= b else (b, a)
-        if not low <= high < math.inf:  # a NaN fails the first test, an infinity the second
-            raise _not_coefficients(alice_coeff, bob_coeff, "finite")
-        if high == 0.0:
-            raise _no_sideband_light()
-        r = low / high
-    except InvalidParameterError:
-        raise
+        finite = low <= high < math.inf  # a NaN fails the first test, an infinity the second
     except (TypeError, ValueError, OverflowError):
         raise _not_coefficients(alice_coeff, bob_coeff) from None
+    if not finite:
+        raise _not_coefficients(alice_coeff, bob_coeff, "finite")
+    if high == 0.0:
+        raise _no_sideband_light()
+    r = low / high
     return 2.0 * r / (1.0 + r * r)
 
 
@@ -139,17 +138,16 @@ def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
     """Intrinsic fringe phase arg(bob_coeff) - arg(alice_coeff) in (-pi, pi]."""
     try:
         a, b = abs(alice_coeff), abs(bob_coeff)
-        if not (a < math.inf and b < math.inf):  # a NaN fails too
-            raise _not_coefficients(alice_coeff, bob_coeff, "finite")
-        if a == 0.0 or b == 0.0:
-            raise PhaseUndefinedError(
-                "phase offset undefined: an interference coefficient is zero"
-            )
+        finite = a < math.inf and b < math.inf  # a NaN fails too
         wrapped = math.remainder(cmath.phase(bob_coeff) - cmath.phase(alice_coeff), math.tau)
-    except InvalidParameterError:
-        raise
     except (TypeError, ValueError, OverflowError):
         raise _not_coefficients(alice_coeff, bob_coeff) from None
+    if not finite:
+        raise _not_coefficients(alice_coeff, bob_coeff, "finite")
+    if a == 0.0 or b == 0.0:
+        raise PhaseUndefinedError(
+            "phase offset undefined: an interference coefficient is zero"
+        )
     return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,9 +18,7 @@ def run_tool(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_a_tree_is_equivalent_to_itself():
-    sizes = ["--configs", "60", "--grids", "2", "--passes", "1", "--yardstick-passes", "1",
-             "--seeds", "1"]
-    proc = run_tool(str(ROOT), str(ROOT), *sizes)
+    proc = run_tool(str(ROOT), str(ROOT), "--quick")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     verdicts = [line for line in lines if line.endswith(("identical", "DIFFERENT"))]
@@ -29,13 +28,25 @@ def test_a_tree_is_equivalent_to_itself():
     assert counts[:3] == ["8", "60", "18"]  # commands, configs, 2 grids x 9 pairings
 
 
+def test_outcomes_mask_only_the_scratch_directory():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--worker", str(ROOT), "--quick"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
+    masked = {category for category, text in outcomes if "<work>" in text}
+    assert masked == {"ops"}  # the set-up config paths, and nothing outside them
+    assert outcomes[0][1].startswith("table2: (0, '{\\n  \"schema_version\"")  # unmasked text
+
+
 def test_a_tree_that_raises_while_building_fails(tmp_path):
     (tmp_path / "src" / "fcqkd").mkdir(parents=True)
     (tmp_path / "src" / "fcqkd" / "__init__.py").write_text("raise RuntimeError('broken')\n")
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "workloads.py").write_text("")
-    sizes = ["--configs", "1", "--grids", "0", "--passes", "0", "--yardstick-passes", "0"]
-    proc = run_tool(str(ROOT), str(tmp_path), *sizes)
+    proc = run_tool(str(ROOT), str(tmp_path), "--quick")
     assert proc.returncode == 1
     assert "RuntimeError: broken" in proc.stderr
     assert "error: the change tree raised while building its corpus" in proc.stdout

@@ -1,7 +1,6 @@
 """Equivalence checker: do two trees give the same outputs on the same calls?
 
-    python3 tools/equiv.py PARENT_DIR CHANGE_DIR [--configs N] [--grids N]
-        [--passes N] [--yardstick-passes N] [--seeds 1,2,3]
+    python3 tools/equiv.py PARENT_DIR CHANGE_DIR [--quick]
 
 Each tree is a checkout holding ``src/fcqkd`` and ``bench/workloads.py``.
 One worker process per tree (this script with ``--worker``) runs with
@@ -11,15 +10,17 @@ in the same order, and writes one outcome per call.  The categories:
 * ``cli``: exit code and stdout of ``table2``, ``verify``, ``verify --max-m
   0.2``, ``sweep`` and ``spectrum`` (CSV and JSON) and ``qkd`` on the
   default config;
-* ``configs``: ``parse_config`` of ``--configs`` generated configs, invalid
-  ones included;
+* ``configs``: ``parse_config`` of 3000 generated configs, invalid ones
+  included;
 * ``classify``: ``classify_pair`` and ``compare_row_with_reference`` of all
-  nine pairings, and ``check_protocol`` at two bias pairs, on ``--grids``
-  generated bias grids, some of them 1e-9 to 1e-3 off multiples of pi/2;
+  nine pairings, and ``check_protocol`` at two bias pairs, on 400 generated
+  bias grids, some of them 1e-9 to 1e-3 off multiples of pi/2;
 * ``ops``: the set-up configs read by ``load_config`` and every op result,
-  with its check, of ``Classify`` and ``KeyExchange`` passes 0 to
-  ``--passes`` - 1 and ``Yardstick`` passes 0 to ``--yardstick-passes`` - 1
-  of ``bench/workloads.py`` (imported, never written), at each seed.
+  with its check, of ``Classify`` and ``KeyExchange`` passes 0-119 and
+  ``Yardstick`` passes 0-29 of ``bench/workloads.py`` (imported, never
+  written), at seeds 1-3.
+
+``--quick`` shrinks every category to a smoke test of about a second.
 
 An outcome is the result's repr, with every array as its dtype, shape and
 the SHA-256 of its bytes so that no digit is lost, or the type and message
@@ -36,10 +37,8 @@ usage error.  Only the standard library is used here; the trees bring numpy.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -50,6 +49,9 @@ import tempfile
 from pathlib import Path
 
 CATEGORIES = ("cli", "configs", "classify", "ops")
+# Corpus sizes of a full run and of --quick
+FULL = {"configs": 3000, "grids": 400, "passes": 120, "yardstick_passes": 30, "seeds": (1, 2, 3)}
+QUICK = {"configs": 60, "grids": 2, "passes": 1, "yardstick_passes": 1, "seeds": (1,)}
 COMMANDS = (
     ["table2"], ["verify"], ["verify", "--max-m", "0.2"], ["sweep"], ["sweep", "--format", "json"],
     ["spectrum"], ["spectrum", "--format", "json"], ["qkd"],
@@ -83,14 +85,6 @@ def outcome(call, *args) -> str:
         return canon(call(*args))
     except Exception as exc:
         return raised(exc)
-
-
-def run_cli(cli, argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``cli.main(argv)``."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    return code, out.getvalue()
 
 
 # --- generated inputs -------------------------------------------------------------
@@ -179,30 +173,29 @@ def random_grid(rng: random.Random) -> list[float]:
 # --- the worker -------------------------------------------------------------------
 
 
-def worker(tree: Path, args) -> None:
+def worker(tree: Path, sizes: dict) -> None:
     """Write this tree's outcomes to stdout, one JSON [category, outcome] per line."""
     sys.path.insert(0, str(tree / "bench"))
     import fcqkd
-    from fcqkd import cli, config, modulator, protocols
+    from fcqkd import config, modulator, protocols
 
     if not Path(fcqkd.__file__).resolve().is_relative_to(tree / "src"):
         raise SystemExit(f"fcqkd imported from {fcqkd.__file__}, not from {tree / 'src'}")
     import workloads
 
     def emit(category: str, text: str) -> None:
-        sys.stdout.write(json.dumps([category, text.replace(work, "<work>")]) + "\n")
+        sys.stdout.write(json.dumps([category, text]) + "\n")
 
-    work = ""
     for argv in COMMANDS:
-        emit("cli", f"{' '.join(argv)}: {outcome(run_cli, cli, argv)}")
+        emit("cli", f"{' '.join(argv)}: {outcome(workloads.run_cli, argv)}")
 
     rng = random.Random("configs")
-    for i in range(args.configs):
+    for i in range(sizes["configs"]):
         emit("configs", f"{i}: {outcome(config.parse_config, random_config(rng))}")
 
     rng = random.Random("grids")
     kinds = list(modulator.ModulatorKind)
-    for i in range(args.grids):
+    for i in range(sizes["grids"]):
         grid = random_grid(rng)
         n = len(grid)
         for a in kinds:
@@ -222,13 +215,14 @@ def worker(tree: Path, args) -> None:
                 ]
                 emit("classify", f"{i} {a.value}-{b.value}: {text} | {checks}")
 
-    for name, passes in (("classify", args.passes), ("yardstick", args.yardstick_passes),
-                         ("keyexchange", args.passes)):
-        for seed in args.seeds:
+    for name, passes in (("classify", sizes["passes"]), ("yardstick", sizes["yardstick_passes"]),
+                         ("keyexchange", sizes["passes"])):
+        for seed in sizes["seeds"]:
             with tempfile.TemporaryDirectory(prefix="equiv-") as work:
                 workload = workloads.WORKLOADS[name](seed, Path(work))
                 for path in workload.configs():
-                    emit("ops", f"{name} {seed} setup {path}: {outcome(config.load_config, path)}")
+                    text = f"{name} {seed} setup {path}: {outcome(config.load_config, path)}"
+                    emit("ops", text.replace(work, "<work>"))
                 for index in range(passes):
                     for k, op in enumerate(workload.pass_ops(index)):
                         try:
@@ -237,8 +231,8 @@ def worker(tree: Path, args) -> None:
                             text = raised(exc)
                         else:
                             text = f"{canon(result)} check={outcome(op.check, result)}"
-                        emit("ops", f"{name} {seed} {index} {k} {op.kind}: {text}")
-            work = ""
+                        text = f"{name} {seed} {index} {k} {op.kind}: {text}"
+                        emit("ops", text.replace(work, "<work>"))
     sys.stdout.flush()
 
 
@@ -296,16 +290,13 @@ def report(names, tallies, first) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("trees", nargs="+", metavar="DIR")
-    parser.add_argument("--configs", type=int, default=3000)
-    parser.add_argument("--grids", type=int, default=400)
-    parser.add_argument("--passes", type=int, default=120)
-    parser.add_argument("--yardstick-passes", type=int, default=30)
-    parser.add_argument("--seeds", type=lambda s: [int(x) for x in s.split(",")], default=[1, 2, 3])
+    parser.add_argument("--quick", action="store_true", help="a small corpus, for a smoke test")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     trees = [Path(tree).resolve() for tree in args.trees]
+    sizes = QUICK if args.quick else FULL
     if args.worker:
-        worker(trees[0], args)
+        worker(trees[0], sizes)
         return 0
     if len(trees) != 2:
         parser.error("give two trees: PARENT_DIR CHANGE_DIR")
@@ -313,19 +304,17 @@ def main(argv=None) -> int:
         if not (tree / "src" / "fcqkd").is_dir() or not (tree / "bench" / "workloads.py").is_file():
             parser.error(f"{tree} holds no src/fcqkd or no bench/workloads.py")
 
-    sizes = ["--configs", str(args.configs), "--grids", str(args.grids), "--passes",
-             str(args.passes), "--yardstick-passes", str(args.yardstick_passes),
-             "--seeds", ",".join(map(str, args.seeds))]
     procs = []
     for tree in trees:
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
                    PYTHONHASHSEED="0")
         procs.append(subprocess.Popen(
-            [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree), *sizes],
+            [sys.executable, str(Path(__file__).resolve()), "--worker", str(tree),
+             *(["--quick"] if args.quick else [])],
             env=env, stdout=subprocess.PIPE, text=True, cwd=tree,
         ))
     names = ["parent", "change"]
-    print(f"parent: {trees[0]}\nchange: {trees[1]}\nsizes: {' '.join(sizes)}")
+    print(f"parent: {trees[0]}\nchange: {trees[1]}\nsizes: {sizes}")
     tallies, first = compare([proc.stdout for proc in procs])
     report(names, tallies, first)
     failed = [name for name, proc in zip(names, procs) if proc.wait() != 0]
