@@ -27,8 +27,7 @@ def test_a_tree_is_equivalent_to_itself():
     counts = [line.split()[1] for line in lines if line.startswith("  parent: ")]
     assert counts[:3] == ["8", "60", "18"]  # commands, configs, 2 grids x 9 pairings
 
-
-def test_outcomes_mask_only_the_scratch_directory():
+    # one worker's outcomes: only the ops name the workload's scratch directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--worker", str(ROOT), "--quick"],
@@ -37,7 +36,7 @@ def test_outcomes_mask_only_the_scratch_directory():
     assert proc.returncode == 0, proc.stderr
     outcomes = [json.loads(line) for line in proc.stdout.splitlines()]
     masked = {category for category, text in outcomes if "<work>" in text}
-    assert masked == {"ops"}  # the set-up config paths, and nothing outside them
+    assert masked == {"ops"}
     assert outcomes[0][1].startswith("table2: (0, '{\\n  \"schema_version\"")  # unmasked text
 
 
