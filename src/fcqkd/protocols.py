@@ -19,8 +19,14 @@ t, t + 1e-6 (just off a dead locus) and t plus each of the ten family
 angles; at the angles themselves they are module constants.  The n x n
 bias grid is then one outer product of two n-vectors per protocol, and
 each candidate family is tested in turn on its (t, n) lattice, a product
-of the same vectors.  Every reported number comes from the scalar
-evaluation at its point.  :func:`compare_row_with_reference` checks a
+of the same vectors.  Most tests fail, and at their first lattice point,
+so each is first taken there in Python scalars: an offset test is
+rejected when |Im z| > 2 tan(tol) |Re z|, twice the class rule's bound, a
+margin that the few ulps between a scalar and an array product cannot
+cross, and a dead-locus test when the first point is alive (float
+products, bit-equal to the array's).  The array pass runs only for a test
+its first point does not reject, and decides it.  Every reported number
+comes from the scalar evaluation at its point.  :func:`compare_row_with_reference` checks a
 row, from the same per-side values, against the hand-derived closed forms
 of ``REFERENCE_TABLE``, as the ``table2`` command and the acceptance suite do.
 """
@@ -203,6 +209,22 @@ def _near_class(z: np.ndarray, tol: float) -> np.ndarray:
     return parts[..., 1::2] <= re
 
 
+def _rejects_first(f_a: np.ndarray, f_b: np.ndarray, rotation: complex, tol: float) -> bool:
+    """Whether the first point of two broadcast factor arrays already fails :func:`_near_class`.
+
+    The product is formed in Python, in the array pass's order.  It and the
+    array's differ by a few ulps of |z| (numpy's loops and the matmul may
+    fuse a multiply and an add), so the margin of 2 on tan(tol) rejects only
+    points the array rule rejects too: a point rejected here has
+    |Im z| > 2 tan(tol) |Re z|, so |Im z| exceeds about 1.7 tan(tol) |z|,
+    and for tol >> 1e-15 (THETA_TOL is 1e-9, _NUDGE_TOL 1e-3) a few ulps of
+    |z| cannot bring it down to tan(tol) |Re z|.  A point inside the margin
+    is left to the array rule, which decides every test not rejected here.
+    """
+    z = (f_a.item(0) * rotation) * f_b.item(0)
+    return abs(z.imag) > 2.0 * math.tan(tol) * abs(z.real)
+
+
 def _zero(alice: tuple, bob: tuple, bounds: tuple[float, float]):
     """The zero rule over two broadcast sides: where |a| or |b| is at most its bound.
 
@@ -253,7 +275,10 @@ def classify_pair(
     np.conjugate(bob[0], out=bob[0])
     sources = ((alice, _ANGLE_SIDES[alice_kind][0]), (bob, _ANGLE_SIDES[bob_kind][1]))
     alice_t, bob_t = _at(alice, np.s_[:, 0]), _at(bob, np.s_[:, 0])
-    zero_on_grid = _zero(*[(None, c.min(), s.min()) for _, c, s in (alice_t, bob_t)], bounds)
+
+    def zero_on_grid() -> bool:
+        """Whether the zero rule holds anywhere on the n x n grid."""
+        return _zero(*[(None, c.min(), s.min()) for _, c, s in (alice_t, bob_t)], bounds)
 
     def lattice(family: _Family, nudged: bool) -> tuple[tuple, tuple]:
         """Alice's and Bob's values on ``family``'s (t, n) lattice, as broadcast sides."""
@@ -263,12 +288,23 @@ def classify_pair(
     def passes(family: _Family, rotation: complex, nudged: bool, tol: float) -> bool:
         """Offset in class on the whole lattice and, tested only then, no coefficient zero."""
         a, b = lattice(family, nudged)
+        if _rejects_first(a[0], b[0], rotation, tol):
+            return False
         return _near_class((a[0] * rotation) * b[0], tol).all() and not _zero(a, b, bounds).any()
+
+    def dead(family: _Family) -> bool:
+        """Whether a coefficient dies on the whole of ``family``'s lattice."""
+        a, b = lattice(family, False)
+        (_, c_a, s_a), (_, c_b, s_b) = a, b
+        # the first point in Python floats: IEEE products, bit-equal to the array's
+        if s_a.item(0) * c_b.item(0) > bounds[0] and c_a.item(0) * s_b.item(0) > bounds[1]:
+            return False
+        return _zero(a, b, bounds).all()
 
     def verdict(protocol: str) -> ProtocolFeasibility:
         rotation = cmath.exp(-1j * _required_shift(protocol))
         # The whole grid first, then each feasible family in order.
-        if not zero_on_grid:
+        if not _rejects_first(alice_t[0], bob_t[0], rotation, THETA_TOL) and not zero_on_grid():
             # an outer product as a matmul: a broadcast product would also
             # allocate iteration buffers the size of the grid
             z = (alice_t[0] * rotation)[:, None] @ bob_t[0][None, :]
@@ -286,8 +322,7 @@ def classify_pair(
         # reachable only on a bias locus where a coefficient dies.  Just off
         # a dead locus the offset must approach the required class.
         for family in _ZERO_VIS_FAMILIES:
-            dead = _zero(*lattice(family, False), bounds).all()
-            if dead and passes(family, rotation, True, _NUDGE_TOL):
+            if dead(family) and passes(family, rotation, True, _NUDGE_TOL):
                 return ProtocolFeasibility(protocol, False, family.label, None, "zero-visibility")
         return ProtocolFeasibility(protocol, False, "none", None, "theta-mismatch")
 

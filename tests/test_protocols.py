@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import tracemalloc
@@ -515,9 +516,26 @@ _NEAR_NULL_GRID = st.lists(
 )
 
 
+# Grids whose first bias sits k * THETA_TOL off a multiple of pi/2, k in
+# [0.25, 4], then generic ones: the first lattice point of a test falls in
+# or near the band that the first-point test leaves to the array rule.
+# About half are that one bias alone: after generic biases the whole grid
+# is seldom in class, so the band would seldom decide a verdict.
+_BOUNDARY_GRID = st.builds(
+    lambda n, sign, k, rest: [n * 0.5 * math.pi + sign * k * protocols.THETA_TOL, *rest],
+    st.integers(-2, 2),
+    st.sampled_from([-1.0, 1.0]),
+    st.floats(0.25, 4.0),
+    st.one_of(st.just([]), st.lists(_BIAS, max_size=39)),
+)
+
+
 class TestStackedEvaluation:
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(ROW_ORDER), st.one_of(_ANY_GRID, _PRINCIPAL_GRID, _NEAR_NULL_GRID))
+    @given(
+        st.sampled_from(ROW_ORDER),
+        st.one_of(_ANY_GRID, _PRINCIPAL_GRID, _NEAR_NULL_GRID, _BOUNDARY_GRID),
+    )
     def test_matches_the_per_candidate_classifier(self, pairing, grid):
         alice_kind, bob_kind = pairing
         expected = _outcome(reference_classify_pair, alice_kind, bob_kind, grid)
@@ -576,6 +594,66 @@ class TestThresholdBoundaries:
         assert check_protocol(alice, bob, B92).feasible is inside
         row = classify_pair(UM, UM, [0.5, 0.5 + delta])
         assert row.b92.bias_constraint == ("any" if inside else "psi_b = psi_a + n*pi")
+
+    @pytest.mark.parametrize("psi, label", [(0.75e-9, "any"), (1.5e-9, "psi_a = n*pi")])
+    def test_first_point_margin_defers_to_the_array_rule(self, psi, label):
+        # UM-PM's offset is -psi_a, so a one-point grid sits psi off the B92
+        # class.  0.75e-9 is inside THETA_TOL and 1.5e-9 outside it, both
+        # inside the first-point test's margin of 2: the array rule decides
+        # both, where a margin under 0.75 would reject the first.
+        assert classify_pair(UM, PM, [psi]).b92.bias_constraint == label
+
+
+def _products_near_the_boundary():
+    """(F_A, F_B, shift, tol) whose product z = F_A F_B e^{-j shift} sits near
+    |Im z| = tan(tol) |Re z|, near the margin 2 tan(tol) |Re z|, or near Re z = 0.
+    """
+    tol = st.sampled_from([protocols.THETA_TOL, protocols._NUDGE_TOL])
+    # how far arg z lies from a multiple of pi, as k tan(tol) in |Im z| / |Re z|
+    ratio = st.one_of(
+        st.floats(0.5, 4.0),
+        st.floats(1.0 - 1e-6, 1.0 + 1e-6),
+        st.floats(2.0 - 1e-6, 2.0 + 1e-6),
+    )
+    near_class = st.builds(lambda k, tol: (math.atan(k * math.tan(tol)), tol), ratio, tol)
+    # or this far from an odd multiple of pi/2
+    near_half = st.builds(
+        lambda e, tol: (0.5 * math.pi - 10.0**e, tol), st.floats(-17.0, -1.0), tol
+    )
+
+    def build(target, turns, sign, shift, mag_a, mag_b, arg_a):
+        angle, tol = target
+        arg_b = sign * angle + turns * math.pi + shift - arg_a
+        f_a, f_b = cmath.rect(10.0**mag_a, arg_a), cmath.rect(10.0**mag_b, arg_b)
+        return f_a, f_b, shift, tol
+
+    return st.builds(
+        build,
+        st.one_of(near_class, near_half),
+        st.integers(-2, 2),
+        st.sampled_from([-1.0, 1.0]),
+        st.sampled_from([protocols._required_shift(p) for p in (B92, BB84)]),
+        st.floats(-9.0, 1.0),
+        st.floats(-9.0, 1.0),
+        st.floats(-math.pi, math.pi),
+    )
+
+
+class TestFirstPointRule:
+    @settings(max_examples=500, deadline=None)
+    @given(_products_near_the_boundary())
+    def test_a_first_point_rejection_is_an_array_rejection(self, draw):
+        # The first-point test may only reject what the array pass rejects:
+        # the package's array rule and the first-order model's class rule.
+        f_a, f_b, shift, tol = draw
+        rotation = cmath.exp(-1j * shift)
+        a, b = np.array([f_a]), np.array([f_b])
+        if not protocols._rejects_first(a, b, rotation, tol):
+            return
+        assert not protocols._near_class((a * rotation) * b, tol).any()
+        # b conj(a) = F_A F_B for a = conj(F_B) and b = F_A
+        no = np.array([False])
+        assert not first_order.in_class((b.conjugate(), a, no, no), shift, tol).any()
 
 
 # --- relations between pairings: the mirror and a bias shift by pi ----------

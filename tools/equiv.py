@@ -14,7 +14,8 @@ in the same order, and writes one outcome per call.  The categories:
   included;
 * ``classify``: ``classify_pair`` and ``compare_row_with_reference`` of all
   nine pairings, and ``check_protocol`` at two bias pairs, on 400 generated
-  bias grids, some of them 1e-9 to 1e-3 off multiples of pi/2;
+  bias grids, some of them 1e-9 to 1e-3 off multiples of pi/2 and some
+  starting 0.5e-9 to 3e-9 off one;
 * ``ops``: the set-up configs read by ``load_config`` and every op result,
   with its check, of ``Classify`` and ``KeyExchange`` passes 0-119 and
   ``Yardstick`` passes 0-29 of ``bench/workloads.py`` (imported, never
@@ -151,23 +152,35 @@ def random_config(rng: random.Random) -> str:
 
 
 def random_grid(rng: random.Random) -> list[float]:
-    """A bias grid: generic, wide, near the multiples of pi/2, or a mix with exact ones."""
+    """A bias grid: generic, wide, near the multiples of pi/2, a mix with exact ones, or
+    generic but for a first bias k * 1e-9 off a multiple of pi/2.
+    """
     n = rng.randint(1, 40)
 
-    def near_null():
-        offset = 10 ** rng.uniform(-9.0, -3.0)
+    def near_null(offset):
         return rng.randint(-2, 2) * 0.5 * math.pi + rng.choice((-offset, offset))
 
-    style = rng.randrange(4)
-    if style == 0:
+    def generic():
         step = (0.5 * math.pi - 0.06) / n
         return [0.03 + step * (i + rng.uniform(0.1, 0.9)) for i in range(n)]
+
+    style = rng.randrange(5)
+    if style == 0:
+        return generic()
     if style == 1:
         return [rng.uniform(-4.0, 4.0) for _ in range(n)]
     if style == 2:
-        return [near_null() for _ in range(n)]
-    draws = (near_null, lambda: rng.uniform(-4.0, 4.0), lambda: rng.randint(-2, 2) * 0.5 * math.pi)
-    return [rng.choice(draws)() for _ in range(n)]
+        return [near_null(10 ** rng.uniform(-9.0, -3.0)) for _ in range(n)]
+    if style == 3:
+        draws = (lambda: near_null(10 ** rng.uniform(-9.0, -3.0)), lambda: rng.uniform(-4.0, 4.0),
+                 lambda: rng.randint(-2, 2) * 0.5 * math.pi)
+        return [rng.choice(draws)() for _ in range(n)]
+    # the first lattice points of the classifier's tests in and around the
+    # band, up to twice the offset tolerance, that its first-point test
+    # leaves to the array rule
+    grid = generic()
+    grid[0] = near_null(rng.choice((0.5, 0.75, 1.0, 1.5, 2.0, 3.0)) * 1e-9)
+    return grid
 
 
 # --- the worker -------------------------------------------------------------------
