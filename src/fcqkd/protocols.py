@@ -216,9 +216,10 @@ def _rejects_first(f_a: np.ndarray, f_b: np.ndarray, rotation: complex, tol: flo
     array's differ by a few ulps of |z| (numpy's loops and the matmul may
     fuse a multiply and an add), so the margin of 2 on tan(tol) rejects only
     points the array rule rejects too: a point rejected here has
-    |Im z| > 2 tan(tol) |Re z|, so |Im z| exceeds about 1.7 tan(tol) |z|,
-    and for tol >> 1e-15 (THETA_TOL is 1e-9, _NUDGE_TOL 1e-3) a few ulps of
-    |z| cannot bring it down to tan(tol) |Re z|.  A point inside the margin
+    |Im z| > 2 tan(tol) |Re z|, so |Im z| > 2 tan(tol) |z| / sqrt(1 + 4
+    tan^2(tol)), nearly twice tan(tol) |z|, and for tol >> 1e-15 (THETA_TOL
+    is 1e-9, _NUDGE_TOL 1e-3) a few ulps of |z| cannot bring it down to
+    tan(tol) |Re z| <= tan(tol) |z|.  A point inside the margin
     is left to the array rule, which decides every test not rejected here.
     """
     z = (f_a.item(0) * rotation) * f_b.item(0)
