@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfigurationError, InvalidParameterError, TruncationError
-from .link import LinkSpec, _closed_powers
-from .modulator import _COUPLING, ModulatorSpec, _is_integer, _require_instances
+from .link import LinkSpec, _closed_powers, _require_point
+from .modulator import _COUPLING, ModulatorSpec, _is_integer
 
 # Highest truncation order: it bounds the transform size (at most 1024
 # samples) and the number of output rows.
@@ -128,7 +128,8 @@ def _field(theta: np.ndarray, phase, m, c1, c2, mirrored: bool) -> np.ndarray:
     its factor is 1 or conj(E) and one exp serves both arms.
     """
     drive = theta + phase
-    field = np.exp((1j * m) * np.cos(drive, out=drive))
+    field = (1j * m) * np.cos(drive, out=drive)
+    np.exp(field, out=field)
     # coefficient times field, in that order: with fused multiply-adds,
     # complex products need not commute in the last bit
     if mirrored:
@@ -188,8 +189,7 @@ def exact_tandem_spectrum(
     must stay below 1e-12 of the total, or the order is too low for the
     drives.
     """
-    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
-    _require_instances(LinkSpec, "link", link)
+    _require_point(alice, bob, link)
     order = _checked_order(order, max(alice.m, bob.m))
     theta = _phases(order)
     # the field carries the transform's 1/n; n is a power of two, so that is exact
@@ -203,7 +203,7 @@ def exact_tandem_spectrum(
         raise TruncationError(
             f"truncated tail holds {tail_power / total:.3e} of the power; raise the order"
         )
-    return HarmonicSpectrum(order, np.concatenate((coeffs[-order:], coeffs[: order + 1])))
+    return HarmonicSpectrum(order, coeffs.take(np.arange(-order, order + 1)))
 
 
 def _harmonics(mods: list[ModulatorSpec], phases: list[float], order: int) -> np.ndarray:
@@ -289,6 +289,5 @@ def small_signal_error(
     Relative error is reported where the exact power exceeds 1e-9; below
     that the absolute difference is returned instead.
     """
-    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
-    _require_instances(LinkSpec, "link", link)
+    _require_point(alice, bob, link)
     return _error_points([(alice, bob, link)], order)[0]

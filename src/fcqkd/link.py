@@ -60,6 +60,13 @@ class LinkSpec:
             raise InvalidParameterError("link_phase must be finite")
 
 
+def _require_point(alice, bob, link) -> None:
+    """The specs' ``_require_instances`` checks, passed at once by the exact classes."""
+    if not (type(alice) is type(bob) is ModulatorSpec and type(link) is LinkSpec):
+        _require_instances(ModulatorSpec, "alice and bob", alice, bob)
+        _require_instances(LinkSpec, "link", link)
+
+
 def _no_sideband_light() -> DegenerateConfigurationError:
     """The error of a pairing whose two interference coefficients are both zero."""
     return DegenerateConfigurationError(
@@ -130,7 +137,11 @@ def visibility(alice_coeff: complex, bob_coeff: complex) -> float:
         raise _not_coefficients(alice_coeff, bob_coeff, "finite")
     if high == 0.0:
         raise _no_sideband_light()
-    r = low / high
+    return _contrast(low / high)
+
+
+def _contrast(r: float) -> float:
+    """Fringe contrast 2r / (1 + r^2) of the magnitude ratio r, smaller over larger."""
     return 2.0 * r / (1.0 + r * r)
 
 
@@ -139,7 +150,7 @@ def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
     try:
         a, b = abs(alice_coeff), abs(bob_coeff)
         finite = a < math.inf and b < math.inf  # a NaN fails too
-        wrapped = math.remainder(cmath.phase(bob_coeff) - cmath.phase(alice_coeff), math.tau)
+        offset = _offset(alice_coeff, bob_coeff)
     except (TypeError, ValueError, OverflowError):
         raise _not_coefficients(alice_coeff, bob_coeff) from None
     if not finite:
@@ -148,6 +159,12 @@ def phase_offset(alice_coeff: complex, bob_coeff: complex) -> float:
         raise PhaseUndefinedError(
             "phase offset undefined: an interference coefficient is zero"
         )
+    return offset
+
+
+def _offset(a: complex, b: complex) -> float:
+    """arg(b) - arg(a), wrapped to (-pi, pi]."""
+    wrapped = math.remainder(cmath.phase(b) - cmath.phase(a), math.tau)
     return wrapped + math.tau if wrapped <= -math.pi else wrapped
 
 
@@ -168,7 +185,10 @@ def _fringe(
         raise _no_sideband_light()
     if a_zero or b_zero:
         return a, b, 0.0, None
-    return a, b, visibility(a, b), phase_offset(a, b)
+    # alive coefficients of finite specs pass every check of visibility and phase_offset
+    a_abs, b_abs = abs(a), abs(b)
+    r = a_abs / b_abs if a_abs <= b_abs else b_abs / a_abs
+    return a, b, _contrast(r), _offset(a, b)
 
 
 def _fringe_powers(vis: float, offset: float, x: float) -> tuple[float, float]:
@@ -189,8 +209,7 @@ def sideband_powers(
     loss cancels.  With exactly one vanishing coefficient the fringe term
     is zero and both powers are 1/2.
     """
-    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
-    _require_instances(LinkSpec, "link", link)
+    _require_point(alice, bob, link)
     return _closed_powers(alice, bob, link)
 
 
@@ -217,8 +236,7 @@ def sideband_powers_direct(
     taken relative to their hypot so that no drive index overflows the
     squares.
     """
-    _require_instances(ModulatorSpec, "alice and bob", alice, bob)
-    _require_instances(LinkSpec, "link", link)
+    _require_point(alice, bob, link)
     return _direct_powers(alice, bob, bob.phi, link)
 
 
@@ -234,13 +252,15 @@ def _direct_powers(
     """
     a_carrier, a_side, _ = _side(alice.kind, alice.m, cmath.exp(1j * alice.psi))
     b_carrier, b_side, _ = _side(bob.kind, bob.m, cmath.exp(1j * bob.psi))
-    a_upper = a_side * cmath.exp(1j * alice.phi)
-    b_upper = b_side * cmath.exp(1j * bob_phi)
+    # exp(-jx) is conj(exp(jx)) to the bit: cos is even and sin odd in libm
+    a_turn, b_turn = cmath.exp(1j * alice.phi), cmath.exp(1j * bob_phi)
+    a_upper = a_side * a_turn
+    b_upper = b_side * b_turn
     scale = math.hypot(abs(b_carrier) * abs(a_upper), abs(a_carrier) * abs(b_upper))
     if scale == 0.0:
         raise _no_sideband_light()
-    a_lower = a_side * cmath.exp(-1j * alice.phi)
-    b_lower = b_side * cmath.exp(-1j * bob_phi)
+    a_lower = a_side * a_turn.conjugate()
+    b_lower = b_side * b_turn.conjugate()
     rot = cmath.exp(-1j * link.link_phase)
     upper = b_carrier * (a_upper * rot) + a_carrier * b_upper
     lower = b_carrier * (a_lower * rot.conjugate()) + a_carrier * b_lower

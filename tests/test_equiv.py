@@ -22,10 +22,11 @@ def test_a_tree_is_equivalent_to_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     verdicts = [line for line in lines if line.endswith(("identical", "DIFFERENT"))]
-    assert verdicts == ["cli: identical", "configs: identical", "classify: identical",
-                        "ops: identical"]
+    assert verdicts == ["cli: identical", "configs: identical", "runs: identical",
+                        "classify: identical", "ops: identical"]
     counts = [line.split()[1] for line in lines if line.startswith("  parent: ")]
-    assert counts[:3] == ["8", "60", "18"]  # commands, configs, 2 grids x 9 pairings
+    # commands, configs, 4 configs x 5 commands, 2 grids x 9 pairings
+    assert counts[:4] == ["8", "60", "20", "18"]
 
     # one worker's outcomes: only the ops name the workload's scratch directory
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -38,6 +39,9 @@ def test_a_tree_is_equivalent_to_itself():
     masked = {category for category, text in outcomes if "<work>" in text}
     assert masked == {"ops"}
     assert outcomes[0][1].startswith("table2: (0, '{\\n  \"schema_version\"")  # unmasked text
+    # a generated config's sweep ran, its direct columns beside the closed ones
+    runs = [text for category, text in outcomes if category == "runs"]
+    assert any(": (0, 'delta_phi_rad,p_upper,p_lower,p_upper_closed" in text for text in runs)
 
 
 def test_a_tree_that_raises_while_building_fails(tmp_path):

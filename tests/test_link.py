@@ -1,10 +1,11 @@
 import cmath
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 
 from fcqkd import (
@@ -14,11 +15,14 @@ from fcqkd import (
     ModulatorKind,
     ModulatorSpec,
     PhaseUndefinedError,
+    exact_tandem_spectrum,
     interference_coeffs,
     make_modulator,
     sideband_powers,
     sideband_powers_direct,
+    small_signal_error,
 )
+from fcqkd.harmonics import HarmonicSpectrum
 from fcqkd.link import _direct_powers, _fringe, _fringe_powers, phase_offset, visibility
 
 import first_order
@@ -352,6 +356,25 @@ class TestVisibilityAndOffset:
         re_derived = 2 * abs(a) * abs(b) / (abs(a) ** 2 + abs(b) ** 2)
         assert vis == pytest.approx(re_derived, rel=1e-15)
 
+    @given(
+        st.sampled_from(KINDS), st.sampled_from(KINDS),
+        st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300),
+        angles, angles,
+    )
+    @example(UM, AM, 1e300, 1e300, 0.3, 0.5)
+    @example(PM, AM, 1e-300, 1e300, 0.0, 0.7)
+    def test_fringe_is_the_public_visibility_and_offset_bit_for_bit(
+        self, ka, kb, ma, mb, pa, pb
+    ):
+        # _fringe skips the public functions' checks, so it must compute what they do
+        try:
+            a, b, vis, offset = _fringe(make_modulator(ka, ma, pa), make_modulator(kb, mb, pb))
+        except DegenerateConfigurationError:
+            reject()
+        assume(offset is not None)
+        assert vis.hex() == visibility(a, b).hex()
+        assert offset.hex() == phase_offset(a, b).hex()
+
     def test_tandem_result_flags_undefined_offset(self):
         _, _, vis, offset = _fringe(
             make_modulator(UM, 0.1, math.pi / 2), make_modulator(PM, 0.05)
@@ -473,6 +496,43 @@ class TestFringeInvariants:
     @given(
         st.sampled_from(KINDS), st.sampled_from(KINDS),
         indices, indices, angles, angles, angles, angles, angles, angles,
+    )
+    def test_common_drive_phase_leaves_the_powers(
+        self, ka, kb, ma, mb, pa, pb, fa, fb, phase, delta
+    ):
+        """Adding delta to both drive phases leaves both power paths unchanged.
+
+        Exactly, the powers depend on the drive phases only through phi_b -
+        phi_a.  In floats, with u = eps/2, fl(phi + delta) is off by at most
+        14u (|phi + delta| <= 14 here), so the runs' phase differences differ
+        by at most 28u.  A power's slope in either phase is at most 1/2 (V/2
+        in the closed form, |a||b| / (|a|^2 + |b|^2) in the cascade), so
+        that moves it by at most 14u = 7 eps.  Each run also rounds on its
+        own.  The closed form rounds phi_b - phi_a + link_phase (|.| <= 21,
+        35u) and x +/- Theta (about 24u), each at slope 1/2, then the cosine
+        and the fringe law: about 32u = 16 eps.  The cascade's exps, complex
+        products, sum and moduli each cost a few u of its terms, at most
+        about 40u = 20 eps after the square (|upper| / scale <= sqrt 2).  So
+        the runs differ by at most about 7 + 2 * 16 = 39 eps (closed) and 7
+        + 2 * 20 = 47 eps (cascade); the test allows 64 eps.  Over 2e5
+        random draws the largest difference was 16 eps (closed) and 6.5 eps
+        (cascade).
+        """
+        alice = make_modulator(ka, ma, pa, fa)
+        bob = make_modulator(kb, mb, pb, fb)
+        shifted = make_modulator(ka, ma, pa, fa + delta), make_modulator(kb, mb, pb, fb + delta)
+        bound = 64 * sys.float_info.epsilon
+        for powers in (sideband_powers, sideband_powers_direct):
+            want = outcome(powers, alice, bob, link(phase))
+            got = outcome(powers, *shifted, link(phase))
+            if isinstance(want[0], type):  # both coefficients zero: both runs raise
+                assert got == want
+            else:
+                assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= bound
+
+    @given(
+        st.sampled_from(KINDS), st.sampled_from(KINDS),
+        indices, indices, angles, angles, angles, angles, angles, angles,
         st.floats(min_value=0.05, max_value=1.0),
     )
     def test_link_phase_moves_into_bobs_drive_phase(
@@ -488,6 +548,51 @@ class TestFringeInvariants:
             same = powers(alice, shifted_bob, link(phase, loss))
             assert moved[0] == pytest.approx(same[0], abs=1e-12)
             assert moved[1] == pytest.approx(same[1], abs=1e-12)
+
+
+class SubModulator(ModulatorSpec):
+    """A subclass adds nothing, so every entry point takes it as its base class."""
+
+
+class SubLink(LinkSpec):
+    """A subclass adds nothing, so every entry point takes it as its base class."""
+
+
+POINT_ENTRIES = [sideband_powers, sideband_powers_direct, exact_tandem_spectrum, small_signal_error]
+
+
+def bits(value):
+    """A spectrum as its order and amplitude bytes; other results as they are."""
+    if isinstance(value, HarmonicSpectrum):
+        return value.order, value.amps.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRIES, ids=lambda entry: entry.__name__)
+def test_subclass_specs_pass_every_entry_check(entry):
+    sides = [(UM, 0.8, 0.3, 0.1), (AM, 0.5, 0.4, 1.2)]
+    base = [*(ModulatorSpec(*side) for side in sides), link(0.27, 0.6)]
+    sub = [*(SubModulator(*side) for side in sides), SubLink(base[2].rf_frequency, 0.27, 0.6)]
+    want = bits(entry(*base))
+    for chosen in range(1, 8):  # every non-empty set of arguments given as subclasses
+        args = [sub[i] if chosen >> i & 1 else base[i] for i in range(3)]
+        assert bits(entry(*args)) == want
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRIES, ids=lambda entry: entry.__name__)
+def test_non_specs_keep_their_messages(entry):
+    alice, bob, ln = make_modulator(UM, 0.8), make_modulator(AM, 0.5), link()
+    cases = [
+        ((alice, "bob", ln), f"alice and bob must be ModulatorSpec, got {alice!r}, 'bob'"),
+        ((alice, bob, 1.0), "link must be LinkSpec, got 1.0"),
+        # the modulators are checked first
+        (("x", bob, None), f"alice and bob must be ModulatorSpec, got 'x', {bob!r}"),
+        ((alice, bob, bob), f"link must be LinkSpec, got {bob!r}"),
+    ]
+    for args, message in cases:
+        with pytest.raises(InvalidParameterError) as raised:
+            entry(*args)
+        assert str(raised.value) == message
 
 
 def outcome(evaluate, *args):

@@ -12,6 +12,10 @@ in the same order, and writes one outcome per call.  The categories:
   default config;
 * ``configs``: ``parse_config`` of 3000 generated configs, invalid ones
   included;
+* ``runs``: exit code, stdout, stderr and the file written (a config may
+  name ``out.txt``) of ``sweep`` and ``spectrum`` (CSV and JSON) and ``qkd``
+  on the first 1000 of those configs, so that the sweep's direct column and
+  the exact spectrum are compared off the default config;
 * ``classify``: ``classify_pair`` and ``compare_row_with_reference`` of all
   nine pairings, and ``check_protocol`` at two bias pairs, on 400 generated
   bias grids, some of them 1e-9 to 1e-3 off multiples of pi/2 and some
@@ -38,8 +42,10 @@ usage error.  Only the standard library is used here; the trees bring numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -49,14 +55,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-CATEGORIES = ("cli", "configs", "classify", "ops")
+CATEGORIES = ("cli", "configs", "runs", "classify", "ops")
 # Corpus sizes of a full run and of --quick
-FULL = {"configs": 3000, "grids": 400, "passes": 120, "yardstick_passes": 30, "seeds": (1, 2, 3)}
-QUICK = {"configs": 60, "grids": 2, "passes": 1, "yardstick_passes": 1, "seeds": (1,)}
+FULL = {"configs": 3000, "runs": 1000, "grids": 400, "passes": 120, "yardstick_passes": 30,
+        "seeds": (1, 2, 3)}
+QUICK = {"configs": 60, "runs": 4, "grids": 2, "passes": 1, "yardstick_passes": 1, "seeds": (1,)}
 COMMANDS = (
     ["table2"], ["verify"], ["verify", "--max-m", "0.2"], ["sweep"], ["sweep", "--format", "json"],
     ["spectrum"], ["spectrum", "--format", "json"], ["qkd"],
 )
+# The commands that read a config, each run on the generated ones
+CONFIG_COMMANDS = [argv for argv in COMMANDS if argv[0] in ("sweep", "spectrum", "qkd")]
 
 
 # --- outcomes -----------------------------------------------------------------
@@ -186,11 +195,21 @@ def random_grid(rng: random.Random) -> list[float]:
 # --- the worker -------------------------------------------------------------------
 
 
+def run_written(cli, argv: list[str]) -> tuple[int, str, str, str | None]:
+    """Exit code, stdout and stderr of ``cli.main(argv)``, and any ``out.txt`` it wrote."""
+    written = Path("out.txt")
+    written.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), written.read_text() if written.exists() else None
+
+
 def worker(tree: Path, sizes: dict) -> None:
     """Write this tree's outcomes to stdout, one JSON [category, outcome] per line."""
     sys.path.insert(0, str(tree / "bench"))
     import fcqkd
-    from fcqkd import config, modulator, protocols
+    from fcqkd import cli, config, modulator, protocols
 
     if not Path(fcqkd.__file__).resolve().is_relative_to(tree / "src"):
         raise SystemExit(f"fcqkd imported from {fcqkd.__file__}, not from {tree / 'src'}")
@@ -203,8 +222,22 @@ def worker(tree: Path, sizes: dict) -> None:
         emit("cli", f"{' '.join(argv)}: {outcome(workloads.run_cli, argv)}")
 
     rng = random.Random("configs")
-    for i in range(sizes["configs"]):
-        emit("configs", f"{i}: {outcome(config.parse_config, random_config(rng))}")
+    texts = [random_config(rng) for _ in range(sizes["configs"])]
+    for i, text in enumerate(texts):
+        emit("configs", f"{i}: {outcome(config.parse_config, text)}")
+
+    # relative paths, so that no outcome names the scratch directory
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="equiv-") as work:
+        os.chdir(work)
+        try:
+            for i, text in enumerate(texts[: sizes["runs"]]):
+                Path("run.ini").write_text(text)
+                for argv in CONFIG_COMMANDS:
+                    result = outcome(run_written, cli, [*argv, "--config", "run.ini"])
+                    emit("runs", f"{i} {' '.join(argv)}: {result}")
+        finally:
+            os.chdir(home)
 
     rng = random.Random("grids")
     kinds = list(modulator.ModulatorKind)
